@@ -16,6 +16,11 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark package (build + the --quick suite against these crates)"
+# benchmark/ is its own package with path deps on crates/*: a crate-API
+# change that breaks it fails here, not as a failed benchmark run.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> chaos sweep (seeded fault plans, 1 and 4 shards)"
 for seed in 1 4242 31337; do
   echo "    CHAOS_SEED=$seed"
@@ -36,9 +41,9 @@ done
 echo "==> sharding scaling smoke (writes BENCH_sharding.json)"
 cargo run --release -q -p nvmetro-bench --bin scaling_smoke
 
-echo "==> classifier tier ablation (writes BENCH_classifier.json)"
-# Asserts the tier-up bars: compiled >= 2x and cache-hit >= 5x the
-# interpreter on the partition-offset classifier.
+echo "==> classifier engine ablation (writes BENCH_classifier.json)"
+# Asserts the bar: compiled >= 2x the interpreter on the
+# partition-offset classifier.
 NVMETRO_BENCH_MS="${NVMETRO_BENCH_MS:-100}" \
   cargo run --release -q -p nvmetro-bench --bin classifier_ablation
 

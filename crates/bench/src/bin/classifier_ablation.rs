@@ -1,17 +1,16 @@
-//! Classifier execution-tier ablation: native Rust vs pre-decoded compiled
-//! ops vs fetch/decode interpreter vs memoized verdict replay, written to
+//! Classifier execution-engine ablation: native Rust vs pre-decoded
+//! compiled ops vs fetch/decode interpreter, written to
 //! `BENCH_classifier.json` for CI.
 //!
 //! The workload is the paper's partition-offset mediation classifier:
 //! dispatch on the opcode, bounds-check the I/O against the partition
 //! length, add the partition base to the starting LBA, write it back, take
-//! the fast path. Every tier runs the same verified program against the
+//! the fast path. Every engine runs the same verified program against the
 //! same context; the harness restores the mutated `slba` bytes before each
-//! invocation in *every* tier so the memo tier sees a repeating key and the
-//! other tiers pay the identical per-iteration setup.
+//! invocation so every iteration classifies the same in-partition request.
 //!
-//! Acceptance bars (enforced here and by ci.sh's `classifier_smoke`):
-//! compiled ≥ 2x interpreter ops/s, cache-hit ≥ 5x interpreter ops/s.
+//! Acceptance bar (enforced here, run by ci.sh): compiled ≥ 2x
+//! interpreter ops/s.
 //!
 //! ```sh
 //! cargo run --release -p nvmetro-bench --bin classifier_ablation
@@ -19,7 +18,6 @@
 
 use nvmetro_core::classify::{partition_offset_program, verdict_bits, RequestCtx, HOOK_VSQ};
 use nvmetro_nvme::{NvmOpcode, Status, SubmissionEntry};
-use nvmetro_vbpf::{Tier, Vm};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -31,8 +29,7 @@ const BATCH: usize = 4096;
 
 /// Runs `f` in batches until `budget` elapses; returns (iters, ops/s).
 fn measure(budget: Duration, mut f: impl FnMut()) -> (u64, f64) {
-    // Warm up: populate caches (memo, branch predictors) outside the
-    // measured window.
+    // Warm up caches and branch predictors outside the measured window.
     for _ in 0..BATCH {
         f();
     }
@@ -55,23 +52,17 @@ fn fresh_ctx() -> RequestCtx {
     RequestCtx::new(HOOK_VSQ, 0, 0, &cmd, Status::SUCCESS, 0)
 }
 
-/// Restores the slba key bytes the classifier mutates, so every iteration
+/// Restores the slba bytes the classifier mutates, so every iteration
 /// classifies the same logical request.
 fn reset_slba(ctx: &mut [u8]) {
     ctx[SLBA_OFF..SLBA_OFF + 8].copy_from_slice(&BASE_SLBA.to_le_bytes());
 }
 
-fn tier_vm(memo_capacity: usize) -> Vm {
-    let mut vm = partition_offset_program(LBA_OFFSET, PART_NLB);
-    vm.set_memo_capacity(memo_capacity);
-    vm
-}
-
-/// Keeps the faster of two `(iters, ops/s)` samples. Tier throughputs
+/// Keeps the faster of two `(iters, ops/s)` samples. Engine throughputs
 /// are estimated as best-of-N interleaved rounds: on a shared machine
 /// transient slowdowns (frequency scaling, co-tenants) only ever
 /// subtract speed, so the max over rounds is the robust estimator and
-/// interleaving keeps a slow phase from biasing one tier's ratio.
+/// interleaving keeps a slow phase from biasing one engine's ratio.
 fn keep_best(best: &mut (u64, f64), sample: (u64, f64)) {
     if sample.1 > best.1 {
         *best = sample;
@@ -89,21 +80,15 @@ fn main() {
     let expect = verdict_bits::SEND_HQ | verdict_bits::WILL_COMPLETE_HQ;
 
     let mut native_ctx = fresh_ctx();
-    let mut interp_vm = tier_vm(0);
+    let mut interp_vm = partition_offset_program(LBA_OFFSET, PART_NLB);
     let mut interp_ctx = fresh_ctx();
-    let mut compiled_vm = tier_vm(0);
+    let mut compiled_vm = partition_offset_program(LBA_OFFSET, PART_NLB);
     assert!(compiled_vm.is_compiled(), "partition program must compile");
     let mut compiled_ctx = fresh_ctx();
-    // Cache-hit tier: default memo capacity; the repeating request key
-    // replays the verdict and the journaled slba write without
-    // executing the program.
-    let mut cached_vm = partition_offset_program(LBA_OFFSET, PART_NLB);
-    let mut cached_ctx = fresh_ctx();
 
     let mut native = (0u64, 0f64);
     let mut interp = (0u64, 0f64);
     let mut compiled = (0u64, 0f64);
-    let mut cached = (0u64, 0f64);
     for _ in 0..ROUNDS {
         // Native baseline: the same mediation hand-written in Rust.
         let ctx = &mut native_ctx;
@@ -127,7 +112,7 @@ fn main() {
             }),
         );
 
-        // Interpreter tier: fetch/decode loop, memo off.
+        // Interpreter: fetch/decode loop.
         let (vm, ctx) = (&mut interp_vm, &mut interp_ctx);
         keep_best(
             &mut interp,
@@ -138,25 +123,13 @@ fn main() {
             }),
         );
 
-        // Compiled tier: pre-decoded op array, memo off.
+        // Compiled engine: pre-decoded op array.
         let (vm, ctx) = (&mut compiled_vm, &mut compiled_ctx);
         keep_best(
             &mut compiled,
             measure(budget, || {
                 reset_slba(ctx.bytes_mut());
-                let (v, tier) = vm.run_with_tier(ctx.bytes_mut()).expect("compiled run");
-                assert_eq!(black_box(v), expect);
-                debug_assert_eq!(tier, Tier::Compiled);
-            }),
-        );
-
-        // Memoized tier.
-        let (vm, ctx) = (&mut cached_vm, &mut cached_ctx);
-        keep_best(
-            &mut cached,
-            measure(budget, || {
-                reset_slba(ctx.bytes_mut());
-                let (v, _) = vm.run_with_tier(ctx.bytes_mut()).expect("cached run");
+                let v = vm.run(ctx.bytes_mut()).expect("compiled run");
                 assert_eq!(black_box(v), expect);
             }),
         );
@@ -164,27 +137,19 @@ fn main() {
     let (native_iters, native_ops) = native;
     let (interp_iters, interp_ops) = interp;
     let (compiled_iters, compiled_ops) = compiled;
-    let (cached_iters, cached_ops) = cached;
-    for ctx in [&native_ctx, &interp_ctx, &compiled_ctx, &cached_ctx] {
+    for ctx in [&native_ctx, &interp_ctx, &compiled_ctx] {
         assert_eq!(ctx.slba(), BASE_SLBA + LBA_OFFSET);
     }
-    let memo = cached_vm.memo_stats();
-    assert!(
-        memo.hits > memo.misses,
-        "memo never engaged: {memo:?} (hits must dominate on a repeating key)"
-    );
 
     let compiled_x = compiled_ops / interp_ops;
-    let cached_x = cached_ops / interp_ops;
     println!(
         "native={native_ops:.0} ops/s ({native_iters} iters)\n\
          interp={interp_ops:.0} ops/s ({interp_iters} iters)\n\
-         compiled={compiled_ops:.0} ops/s ({compiled_iters} iters, {compiled_x:.2}x interp)\n\
-         cache_hit={cached_ops:.0} ops/s ({cached_iters} iters, {cached_x:.2}x interp)"
+         compiled={compiled_ops:.0} ops/s ({compiled_iters} iters, {compiled_x:.2}x interp)"
     );
 
     let json = format!(
-        "{{\n  \"workload\": \"partition_offset_classifier\",\n  \"duration_ms\": {},\n  \"tiers\": {{\n    \"native\": {{\"iters\": {}, \"ops_per_sec\": {:.0}}},\n    \"interp\": {{\"iters\": {}, \"ops_per_sec\": {:.0}}},\n    \"compiled\": {{\"iters\": {}, \"ops_per_sec\": {:.0}}},\n    \"cache_hit\": {{\"iters\": {}, \"ops_per_sec\": {:.0}}}\n  }},\n  \"compiled_vs_interp\": {:.3},\n  \"cache_hit_vs_interp\": {:.3},\n  \"memo\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"invalidations\": {}}}\n}}\n",
+        "{{\n  \"workload\": \"partition_offset_classifier\",\n  \"duration_ms\": {},\n  \"tiers\": {{\n    \"native\": {{\"iters\": {}, \"ops_per_sec\": {:.0}}},\n    \"interp\": {{\"iters\": {}, \"ops_per_sec\": {:.0}}},\n    \"compiled\": {{\"iters\": {}, \"ops_per_sec\": {:.0}}}\n  }},\n  \"compiled_vs_interp\": {:.3}\n}}\n",
         budget.as_millis(),
         native_iters,
         native_ops,
@@ -192,25 +157,14 @@ fn main() {
         interp_ops,
         compiled_iters,
         compiled_ops,
-        cached_iters,
-        cached_ops,
         compiled_x,
-        cached_x,
-        memo.hits,
-        memo.misses,
-        memo.evictions,
-        memo.invalidations,
     );
     std::fs::write("BENCH_classifier.json", &json).expect("write BENCH_classifier.json");
     println!("{json}");
 
     assert!(
         compiled_x >= 2.0,
-        "compiled tier {compiled_x:.2}x below the 2x acceptance bar"
+        "compiled engine {compiled_x:.2}x below the 2x acceptance bar"
     );
-    assert!(
-        cached_x >= 5.0,
-        "cache-hit tier {cached_x:.2}x below the 5x acceptance bar"
-    );
-    println!("classifier ablation OK: compiled {compiled_x:.2}x, cache-hit {cached_x:.2}x");
+    println!("classifier ablation OK: compiled {compiled_x:.2}x");
 }

@@ -311,7 +311,7 @@ fn run_assembly_throughput() -> (u64, f64) {
     (n, n as f64 / secs)
 }
 
-/// One micro-datapath run (the `micro_datapath` bench rig): 1000 reads
+/// One micro-datapath run: 1000 reads
 /// through a single-shard router into the simulated SSD, with an optional
 /// watchdog riding the executor. Returns the watchdog's self-attributed
 /// tick time for the run (zero without one).

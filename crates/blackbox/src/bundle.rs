@@ -1,21 +1,25 @@
 //! The postmortem dump bundle: a self-contained, versioned, checksummed
 //! record of the recorder's rolling window at the moment a trigger fired.
 //!
-//! The byte format mirrors the servicing `ServiceState` idiom: a 4-byte
+//! The byte format is built from the servicing `ServiceState` wire
+//! primitives (`nvmetro_core::servicing::wire`) in the same shape: a 4-byte
 //! magic (`NVBB`), a little-endian version word, the payload, and an
 //! FNV-1a-64 trailer over everything before it. [`DumpBundle::to_json`]
 //! renders the same content as one JSON object for tooling, and
 //! [`report`](crate::report) reconstructs a human-readable incident
 //! timeline from the bundle alone — no live engine required.
 
+use nvmetro_core::servicing::{fnv1a, wire};
+use nvmetro_insight::export::esc;
 use nvmetro_insight::{BreakerGauge, EngineGauges, TenantGauge};
 use nvmetro_telemetry::{Metric, Ns, PathKind, Route, Stage, TraceEvent};
 use std::fmt::Write as _;
 
 /// Magic prefix of every serialized dump bundle.
 pub const BUNDLE_MAGIC: [u8; 4] = *b"NVBB";
-/// Current bundle layout version.
-pub const BUNDLE_VERSION: u16 = 1;
+/// Current bundle layout version (v2 renumbered the [`Metric`] ids that
+/// counter deltas carry as a `u8`; v1 blobs are refused, not mis-decoded).
+pub const BUNDLE_VERSION: u16 = 2;
 
 /// Why bundle deserialization failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,94 +50,13 @@ impl std::fmt::Display for BundleError {
 
 impl std::error::Error for BundleError {}
 
-/// Little-endian wire primitives (in-repo; no external deps).
-mod wire {
-    use super::BundleError;
-
-    pub struct Writer {
-        buf: Vec<u8>,
-    }
-
-    impl Writer {
-        pub fn new() -> Self {
-            Writer { buf: Vec::new() }
-        }
-        pub fn u8(&mut self, v: u8) {
-            self.buf.push(v);
-        }
-        pub fn u16(&mut self, v: u16) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn u32(&mut self, v: u32) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn u64(&mut self, v: u64) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn bytes(&mut self, v: &[u8]) {
-            self.buf.extend_from_slice(v);
-        }
-        pub fn str(&mut self, s: &str) {
-            let b = s.as_bytes();
-            self.u16(b.len().min(u16::MAX as usize) as u16);
-            self.bytes(&b[..b.len().min(u16::MAX as usize)]);
-        }
-        pub fn as_slice(&self) -> &[u8] {
-            &self.buf
-        }
-        pub fn into_bytes(self) -> Vec<u8> {
-            self.buf
+impl From<wire::Error> for BundleError {
+    fn from(e: wire::Error) -> Self {
+        match e {
+            wire::Error::Truncated => BundleError::Truncated,
+            wire::Error::NonUtf8 => BundleError::Corrupt("non-utf8 string"),
         }
     }
-
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub fn new(buf: &'a [u8]) -> Self {
-            Reader { buf, pos: 0 }
-        }
-        fn take(&mut self, n: usize) -> Result<&'a [u8], BundleError> {
-            if self.pos + n > self.buf.len() {
-                return Err(BundleError::Truncated);
-            }
-            let s = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Ok(s)
-        }
-        pub fn u8(&mut self) -> Result<u8, BundleError> {
-            Ok(self.take(1)?[0])
-        }
-        pub fn u16(&mut self) -> Result<u16, BundleError> {
-            Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-        }
-        pub fn u32(&mut self) -> Result<u32, BundleError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-        pub fn u64(&mut self) -> Result<u64, BundleError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-        pub fn str(&mut self) -> Result<String, BundleError> {
-            let len = self.u16()? as usize;
-            let bytes = self.take(len)?;
-            String::from_utf8(bytes.to_vec()).map_err(|_| BundleError::Corrupt("non-utf8 string"))
-        }
-        pub fn remaining(&self) -> usize {
-            self.buf.len() - self.pos
-        }
-    }
-}
-
-/// FNV-1a 64 over the payload; the integrity trailer of the byte format.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A servicing lifecycle operation, derived from counter deltas.
@@ -917,24 +840,6 @@ impl DumpBundle {
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn reason_json(out: &mut String, r: &TriggerReason) {
     match r {
         TriggerReason::Manual => out.push_str("{\"kind\":\"manual\"}"),
@@ -1457,17 +1362,20 @@ mod tests {
             DumpBundle::from_bytes(&flipped),
             Err(BundleError::BadChecksum)
         );
-        // A version we don't understand is refused, not guessed at (the
-        // checksum must be re-stamped for the version check to be reached).
-        let mut vnext = bytes.clone();
-        vnext[4] = 9;
-        let n = vnext.len() - 8;
-        let sum = fnv1a(&vnext[..n]);
-        vnext[n..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            DumpBundle::from_bytes(&vnext),
-            Err(BundleError::BadVersion(9))
-        );
+        // A version we don't understand — a future one, or v1 with its old
+        // metric numbering — is refused, not guessed at (the checksum must
+        // be re-stamped for the version check to be reached).
+        for version in [9u8, 1] {
+            let mut other = bytes.clone();
+            other[4] = version;
+            let n = other.len() - 8;
+            let sum = fnv1a(&other[..n]);
+            other[n..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                DumpBundle::from_bytes(&other),
+                Err(BundleError::BadVersion(version as u16))
+            );
+        }
     }
 
     #[test]

@@ -332,14 +332,14 @@ impl MediatedFields {
 }
 
 /// Everything one classifier invocation produced: the routing verdict, the
-/// vbpf execution tier that answered it (`None` for native classifiers),
+/// vbpf execution engine that answered it (`None` for native classifiers),
 /// and which mediated fields the router must copy back.
 #[derive(Clone, Copy, Debug)]
 pub struct ClassifyOutcome {
     /// The routing verdict.
     pub verdict: Verdict,
-    /// Which vbpf tier ran (interpreter / compiled / memo hit), or `None`
-    /// for a native classifier.
+    /// Which vbpf engine ran (interpreter or compiled), or `None` for a
+    /// native classifier.
     pub tier: Option<nvmetro_vbpf::Tier>,
     /// Mediated fields the classifier may have rewritten.
     pub dirty: MediatedFields,
@@ -352,8 +352,8 @@ pub struct ClassifyOutcome {
 #[allow(clippy::large_enum_variant)]
 pub enum Classifier {
     /// Verified vbpf bytecode (the paper's deployed configuration),
-    /// executed by the fastest eligible tier: memo cache, pre-decoded
-    /// compiled ops, or the fetch/decode interpreter.
+    /// executed as pre-decoded compiled ops, or by the fetch/decode
+    /// interpreter when the compiler rejects the program.
     Bpf(Vm),
     /// Native Rust (zero interpretation cost; ablation baseline).
     Native(Box<dyn NativeClassifier>),
@@ -365,7 +365,7 @@ impl Classifier {
         self.run_tiered(ctx, now).verdict
     }
 
-    /// Runs the classifier and reports the execution tier and dirty-field
+    /// Runs the classifier and reports the execution engine and dirty-field
     /// mask alongside the verdict — the router's hot-path entry point.
     pub fn run_tiered(&mut self, ctx: &mut RequestCtx, now: u64) -> ClassifyOutcome {
         match self {
@@ -682,13 +682,6 @@ mod tests {
         assert!(!out.dirty.contains(MediatedFields::NLB));
         assert!(!out.dirty.contains(MediatedFields::USER_TAG));
         assert_eq!(ctx.slba(), 0x1234 + 1000);
-        // Same command again (fresh ctx, same key bytes) → memo hit with
-        // the identical mediated result.
-        let mut ctx2 = RequestCtx::new(HOOK_VSQ, 0, 0, &cmd, Status::SUCCESS, 0);
-        let out2 = cls.run_tiered(&mut ctx2, 0);
-        assert_eq!(out2.tier, Some(nvmetro_vbpf::Tier::CacheHit));
-        assert_eq!(out2.verdict, out.verdict);
-        assert_eq!(ctx2.slba(), ctx.slba());
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! module is that deployment's front door:
 //!
 //! * [`RouterBuilder`] is the one typed, ordered construction path for the
-//!   datapath: shards, batch, recovery, telemetry, classifier memoization,
-//!   and VM bindings in a single fluent chain (the old `Router` setter
-//!   sprawl is gone);
+//!   datapath: shards, batch, recovery, telemetry and VM bindings in a
+//!   single fluent chain (the old `Router` setter sprawl is gone);
 //! * [`EngineVm`] describes a VM as a set of [`QueueBinding`] queue groups
 //!   (per-vCPU queues); groups are partitioned round-robin across shards in
 //!   bind order, so `group g → shard g % shards` — deterministic, and a
@@ -134,7 +133,6 @@ pub struct RouterBuilder {
     table_capacity: usize,
     recovery: Option<RecoveryConfig>,
     telemetry: Telemetry,
-    memo_capacity: Option<usize>,
     fleet: Option<FleetConfig>,
     coalesce: Option<CoalesceConfig>,
     vms: Vec<EngineVm>,
@@ -154,7 +152,6 @@ impl RouterBuilder {
             table_capacity: 1024,
             recovery: None,
             telemetry: Telemetry::disabled(),
-            memo_capacity: None,
             fleet: None,
             coalesce: None,
             vms: Vec::new(),
@@ -204,15 +201,6 @@ impl RouterBuilder {
         self
     }
 
-    /// Verdict-memo slots for every bound vbpf classifier (0 disables
-    /// memoization engine-wide). Unset, classifiers keep the vbpf default.
-    /// The cache only engages for programs the verifier proved pure; each
-    /// queue group's classifier has its own cache, so shards share nothing.
-    pub fn classifier_memo(mut self, capacity: usize) -> Self {
-        self.memo_capacity = Some(capacity);
-        self
-    }
-
     /// Turns the fleet scheduler on for every shard: the VSQ drain
     /// switches from FIFO visit order to weighted deficit-round-robin
     /// over tenants with token-bucket admission. All shards share the
@@ -251,7 +239,6 @@ impl RouterBuilder {
             table_capacity: self.table_capacity,
             recovery: self.recovery,
             telemetry: self.telemetry,
-            memo_capacity: self.memo_capacity,
             fleet: self.fleet,
             coalesce: self.coalesce,
         };
@@ -272,7 +259,6 @@ pub(crate) struct EngineSpec {
     table_capacity: usize,
     recovery: Option<RecoveryConfig>,
     telemetry: Telemetry,
-    memo_capacity: Option<usize>,
     fleet: Option<FleetConfig>,
     coalesce: Option<CoalesceConfig>,
 }
@@ -512,14 +498,9 @@ impl Engine {
         } = vm;
         let shard_count = self.shards.len();
         let mut bound = 0;
-        for (queue_group, mut q) in queues.into_iter().enumerate() {
+        for (queue_group, q) in queues.into_iter().enumerate() {
             let shard = self.next_group % shard_count;
             self.next_group += 1;
-            if let Some(capacity) = self.spec.memo_capacity {
-                if let Some(vm) = q.classifier.bpf_vm_mut() {
-                    vm.set_memo_capacity(capacity);
-                }
-            }
             let slot = self.shards[shard].bind_vm(VmBinding {
                 vm_id,
                 mem: mem.clone(),

@@ -983,7 +983,6 @@ impl Router {
             let (metric, tier) = match tier {
                 nvmetro_vbpf::Tier::Interp => (Metric::ClassifierInterp, Tier::Interp),
                 nvmetro_vbpf::Tier::Compiled => (Metric::ClassifierCompiled, Tier::Compiled),
-                nvmetro_vbpf::Tier::CacheHit => (Metric::ClassifierCacheHit, Tier::CacheHit),
             };
             self.telemetry.count(metric);
             if let Some(started) = started {

@@ -68,17 +68,36 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Little-endian wire primitives (in-repo; no external deps).
-mod wire {
-    use super::ServiceError;
+impl From<wire::Error> for ServiceError {
+    fn from(e: wire::Error) -> Self {
+        match e {
+            wire::Error::Truncated => ServiceError::Truncated,
+            wire::Error::NonUtf8 => ServiceError::Corrupt("non-utf8 string"),
+        }
+    }
+}
 
+/// Little-endian wire primitives (in-repo; no external deps), shared by
+/// the NVMS snapshot and the blackbox NVBB bundle formats.
+pub mod wire {
+    /// Why a [`Reader`] could not produce the value asked for.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Error {
+        /// The input ended before the value being read.
+        Truncated,
+        /// A string's bytes are not UTF-8.
+        NonUtf8,
+    }
+
+    /// Appends little-endian values to a growing byte buffer.
+    #[derive(Default)]
     pub struct Writer {
         buf: Vec<u8>,
     }
 
     impl Writer {
         pub fn new() -> Self {
-            Writer { buf: Vec::new() }
+            Writer::default()
         }
         pub fn u8(&mut self, v: u8) {
             self.buf.push(v);
@@ -95,6 +114,13 @@ mod wire {
         pub fn bytes(&mut self, v: &[u8]) {
             self.buf.extend_from_slice(v);
         }
+        /// A `u16` length prefix, then that many bytes (longer strings
+        /// are cut at `u16::MAX`).
+        pub fn str(&mut self, s: &str) {
+            let b = s.as_bytes();
+            self.u16(b.len().min(u16::MAX as usize) as u16);
+            self.bytes(&b[..b.len().min(u16::MAX as usize)]);
+        }
         pub fn as_slice(&self) -> &[u8] {
             &self.buf
         }
@@ -103,6 +129,7 @@ mod wire {
         }
     }
 
+    /// Reads little-endian values back, refusing to run past the end.
     pub struct Reader<'a> {
         buf: &'a [u8],
         pos: usize,
@@ -112,25 +139,30 @@ mod wire {
         pub fn new(buf: &'a [u8]) -> Self {
             Reader { buf, pos: 0 }
         }
-        fn take(&mut self, n: usize) -> Result<&'a [u8], ServiceError> {
+        fn take(&mut self, n: usize) -> Result<&'a [u8], Error> {
             if self.pos + n > self.buf.len() {
-                return Err(ServiceError::Truncated);
+                return Err(Error::Truncated);
             }
             let s = &self.buf[self.pos..self.pos + n];
             self.pos += n;
             Ok(s)
         }
-        pub fn u8(&mut self) -> Result<u8, ServiceError> {
+        pub fn u8(&mut self) -> Result<u8, Error> {
             Ok(self.take(1)?[0])
         }
-        pub fn u16(&mut self) -> Result<u16, ServiceError> {
+        pub fn u16(&mut self) -> Result<u16, Error> {
             Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
         }
-        pub fn u32(&mut self) -> Result<u32, ServiceError> {
+        pub fn u32(&mut self) -> Result<u32, Error> {
             Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
         }
-        pub fn u64(&mut self) -> Result<u64, ServiceError> {
+        pub fn u64(&mut self) -> Result<u64, Error> {
             Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        }
+        /// What [`Writer::str`] wrote.
+        pub fn str(&mut self) -> Result<String, Error> {
+            let len = self.u16()? as usize;
+            String::from_utf8(self.take(len)?.to_vec()).map_err(|_| Error::NonUtf8)
         }
         pub fn remaining(&self) -> usize {
             self.buf.len() - self.pos
@@ -138,8 +170,8 @@ mod wire {
     }
 }
 
-/// FNV-1a 64 over the payload; the integrity trailer of the byte format.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over the payload; the integrity trailer of the byte formats.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -810,6 +842,40 @@ mod tests {
         assert_eq!(r.cqes, s.cqes);
         assert_eq!(r.breakers[0].snap.until, 123456);
         assert_eq!(r.tenants, s.tenants);
+    }
+
+    /// The NVMS v2 bytes of `sample_state()`: a change that moves them needs
+    /// a `SERVICE_VERSION` bump, not a new golden.
+    const GOLDEN_V2_HEX: &str = "\
+         4e564d530200040000000200000001401f00000000000000fa00000000000001\
+         0400000000000000000100000000000001020000000000000004000000000000\
+         000100000000000000b0040000000000000200000000000000e8030000000000\
+         00d2040000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000b00400000000000000000000000000\
+         0000000000000000000700000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000200000000000000600000000000000002000000030000\
+         000000000009000000000000000100000000000000110003000000010002004d\
+         0002000000010000000000000000000000000000000000000000000000000000\
+         0000000000000000004000000000000000070000000000000000000000000000\
+         0001000100002a000000000000006400000000000000016e0000000000000000\
+         00000000000000df030000000000000100000088130000000000000100010000\
+         00000000000000000400000001000000000000001100611e0000000000000100\
+         00000100000000000500000001000000000000000140e2010000000000040000\
+         0002000000000000000100000003000000f401000058000000000000000c0000\
+         0000000000d1097f33a54541e0\
+         ";
+
+    #[test]
+    fn v2_bytes_match_the_committed_golden() {
+        let golden: Vec<u8> = (0..GOLDEN_V2_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_V2_HEX[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(sample_state().to_bytes(), golden);
+        let back = ServiceState::from_bytes(&golden).expect("golden decodes");
+        assert_eq!(back.to_bytes(), golden);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::span::Span;
 use nvmetro_telemetry::{Metric, Percentiles, Route, Segment, Stage, TelemetrySnapshot, Tier};
 use std::fmt::Write as _;
 
-fn esc(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal.
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -239,34 +239,30 @@ impl Depth {
     }
 }
 
-/// Which vbpf execution tier answered a classifier invocation (mirrors
+/// Which vbpf execution engine answered a classifier invocation (mirrors
 /// `nvmetro_vbpf::Tier` without a crate dependency): the fetch/decode
-/// interpreter, the pre-decoded compiled op array, or a verdict served
-/// straight from the memo cache. Each tier gets a run counter and a
-/// latency histogram.
+/// interpreter or the pre-decoded compiled op array. Each gets a run
+/// counter and a latency histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Tier {
-    /// Fetch/decode interpreter (fallback tier).
+    /// Fetch/decode interpreter (the fallback).
     Interp = 0,
     /// Pre-decoded op-array dispatch loop.
     Compiled = 1,
-    /// Memoized verdict replay; the program did not execute.
-    CacheHit = 2,
 }
 
 impl Tier {
     /// Number of tiers.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 2;
     /// All tiers in index order.
-    pub const ALL: [Tier; 3] = [Tier::Interp, Tier::Compiled, Tier::CacheHit];
+    pub const ALL: [Tier; 2] = [Tier::Interp, Tier::Compiled];
 
     /// Stable lowercase name for tables and JSON export.
     pub fn name(&self) -> &'static str {
         match self {
             Tier::Interp => "interp",
             Tier::Compiled => "compiled",
-            Tier::CacheHit => "cache_hit",
         }
     }
 }

@@ -29,8 +29,8 @@
 //!
 //! [`Telemetry::disabled`] (the default everywhere) hands out handles whose
 //! instrumentation methods are a single `Option` branch — no atomics, no
-//! allocation, no clock reads. `micro_datapath` benches the disabled path
-//! against the enabled one.
+//! allocation, no clock reads. `benchmark/` records both paths
+//! (`telemetry.emit_disabled_ns` and `telemetry.emit_ns`).
 
 mod event;
 mod metrics;
@@ -494,7 +494,7 @@ impl TelemetryHandle {
     }
 
     /// Records one classifier invocation's latency under the execution
-    /// tier that answered it (interpreter / compiled / memo hit).
+    /// engine that answered it (interpreter or compiled).
     #[inline]
     pub fn tier_latency(&self, t: Tier, ns: u64) {
         if let Some(shard) = &self.shard {

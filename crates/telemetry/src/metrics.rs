@@ -76,64 +76,62 @@ pub enum Metric {
     CqBatches = 28,
     /// Classifier invocations answered by the fetch/decode interpreter.
     ClassifierInterp = 29,
-    /// Classifier invocations answered by the pre-decoded compiled tier.
+    /// Classifier invocations answered by the pre-decoded compiled engine.
     ClassifierCompiled = 30,
-    /// Classifier invocations answered from the verdict memo cache.
-    ClassifierCacheHit = 31,
     /// Circuit-breaker transitions into the Open state.
-    BreakerOpens = 32,
+    BreakerOpens = 31,
     /// Stall-watchdog observation ticks performed.
-    WatchdogTicks = 33,
+    WatchdogTicks = 32,
     /// Queues the watchdog flagged as stalled (nonempty, no progress).
-    StallsDetected = 34,
+    StallsDetected = 33,
     /// Stalled queues the watchdog later observed making progress again.
-    StallsCleared = 35,
+    StallsCleared = 34,
     /// Breaker flap episodes (repeated opens within adjacent watchdog
     /// windows) flagged by the watchdog.
-    BreakerFlaps = 36,
+    BreakerFlaps = 35,
     /// Completed requests that exceeded their route's SLO objective.
-    SloViolations = 37,
+    SloViolations = 36,
     /// Duplicate cross-VM reads parked as coalescing followers instead of
     /// being dispatched to the device.
-    CoalescedReads = 38,
+    CoalescedReads = 37,
     /// Follower completions fanned out from a coalescing leader's
     /// terminal completion.
-    CoalesceFanout = 39,
+    CoalesceFanout = 38,
     /// Admissions the fleet scheduler denied because the tenant's token
     /// bucket was empty (throttle applied to the tenant's traffic —
     /// including buckets tightened by the insight feedback loop).
-    ThrottleApplied = 40,
+    ThrottleApplied = 39,
     /// Tenant drain-loop preemptions: the fleet scheduler cut a tenant's
     /// round short because its DRR deficit ran dry with work still queued.
-    SchedulerPreemptions = 41,
+    SchedulerPreemptions = 40,
     /// Live-servicing snapshots taken of a quiesced engine.
-    SnapshotsTaken = 42,
+    SnapshotsTaken = 41,
     /// Engines restored from a servicing snapshot.
-    Restores = 43,
+    Restores = 42,
     /// Online reshard operations (shard count changed under load).
-    Reshards = 44,
+    Reshards = 43,
     /// Unanswered in-flight requests re-dispatched on a restored engine.
-    ReplayedRequests = 45,
+    ReplayedRequests = 44,
     /// Completions from a pre-snapshot engine generation dropped at the
     /// quarantine instead of re-entering a live request's state machine.
-    EpochLateDrops = 46,
+    EpochLateDrops = 45,
     /// VMs hot-attached to a running engine.
-    VmAttaches = 47,
+    VmAttaches = 46,
     /// VMs hot-detached from a running engine.
-    VmDetaches = 48,
+    VmDetaches = 47,
     /// Poll-governor mode changes (Spin→Yield, Yield→Parked, any wake).
-    PollModeTransitions = 49,
+    PollModeTransitions = 48,
     /// Shards entering Parked (event-driven sleep, ~0 CPU).
-    ShardParks = 50,
+    ShardParks = 49,
     /// Parked shards kicked awake (doorbell/notify or internal timer).
-    ShardWakes = 51,
+    ShardWakes = 50,
     /// Batch auto-tuner moves (per-shard batch size changed).
-    BatchRetunes = 52,
+    BatchRetunes = 51,
 }
 
 impl Metric {
     /// Number of metric slots.
-    pub const COUNT: usize = 53;
+    pub const COUNT: usize = 52;
 
     /// All metrics in slot order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -168,7 +166,6 @@ impl Metric {
         Metric::CqBatches,
         Metric::ClassifierInterp,
         Metric::ClassifierCompiled,
-        Metric::ClassifierCacheHit,
         Metric::BreakerOpens,
         Metric::WatchdogTicks,
         Metric::StallsDetected,
@@ -226,7 +223,6 @@ impl Metric {
             Metric::CqBatches => "cq_batches",
             Metric::ClassifierInterp => "classifier_interp",
             Metric::ClassifierCompiled => "classifier_compiled",
-            Metric::ClassifierCacheHit => "classifier_cache_hit",
             Metric::BreakerOpens => "breaker_opens",
             Metric::WatchdogTicks => "watchdog_ticks",
             Metric::StallsDetected => "stalls_detected",
@@ -368,7 +364,7 @@ mod tests {
         a.record_depth(Depth::CqBatch, 4);
         a.record_tier(Tier::Compiled, 120);
         b.record_tier(Tier::Compiled, 80);
-        b.record_tier(Tier::CacheHit, 15);
+        b.record_tier(Tier::Interp, 15);
         let mut route: [Histogram; Route::COUNT] = std::array::from_fn(|_| Histogram::new());
         let mut seg: [Histogram; Segment::COUNT] = std::array::from_fn(|_| Histogram::new());
         let mut depth: [Histogram; Depth::COUNT] = std::array::from_fn(|_| Histogram::new());
@@ -381,7 +377,7 @@ mod tests {
         assert_eq!(depth[Depth::CqBatch as usize].max(), 4);
         assert_eq!(tier[Tier::Compiled as usize].count(), 2);
         assert_eq!(tier[Tier::Compiled as usize].min(), 80);
-        assert_eq!(tier[Tier::CacheHit as usize].max(), 15);
+        assert_eq!(tier[Tier::Interp as usize].max(), 15);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct TelemetrySnapshot {
     /// Occupancy/batch-size distributions (queue depth, CQEs per flush).
     pub depths: [Histogram; Depth::COUNT],
     /// Classifier invocation latency split by execution tier
-    /// (interpreter / compiled / memo hit).
+    /// (interpreter or compiled).
     pub tiers: [Histogram; Tier::COUNT],
     /// All workers' trace-ring contents, merged, oldest first.
     pub events: Vec<TraceEvent>,

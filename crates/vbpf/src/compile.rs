@@ -1,4 +1,4 @@
-//! The vbpf execution tier-up: verified bytecode → pre-decoded op array.
+//! The vbpf fast engine: verified bytecode → pre-decoded op array.
 //!
 //! The interpreter pays for generality on every instruction: opcode
 //! decode, operand extraction, tagged-address resolution, and runtime
@@ -41,7 +41,7 @@
 //! jump opcodes the interpreter would reject at runtime, the `trace`
 //! helper (kept on the interpreter so its log reflects real pc-by-pc
 //! execution) — makes [`compile`] return `None`, and the Vm falls back to
-//! the interpreter. The two tiers must agree instruction for instruction;
+//! the interpreter. The two engines must agree instruction for instruction;
 //! `tests/differential.rs` enforces this over random verified programs.
 
 use crate::interp::{alu_value, helpers, CTX_BASE, STACK_BASE};
@@ -181,9 +181,8 @@ pub(crate) struct CompiledProgram {
     pub(crate) weights: Vec<u32>,
     /// Original pc per op, for error attribution parity.
     pub(crate) pcs: Vec<u32>,
-    /// Minimum ctx length the precomputed offsets (and the memo key
-    /// extraction ranges) are valid for; shorter contexts fall back to
-    /// the interpreter.
+    /// Minimum ctx length the precomputed offsets are valid for; shorter
+    /// contexts fall back to the interpreter.
     pub(crate) min_ctx: usize,
     /// True when some retained op touches the stack frame (stack
     /// loads/stores, or helper calls, which may read any stack byte).
@@ -196,12 +195,6 @@ pub(crate) struct CompiledProgram {
     /// when the configured budget covers it, the executor skips per-op
     /// budget accounting with identical observable behavior.
     pub(crate) total_weight: u64,
-    /// Word-granular plan for comparing the live ctx read-set against a
-    /// packed memo key: `(ctx_off, size, key_off)` with sizes 8/4/2/1,
-    /// covering exactly the analysis read ranges in packing order. The
-    /// memo fast path compares a handful of register-width loads instead
-    /// of running a byte loop over the ranges.
-    pub(crate) key_plan: Vec<(u16, u8, u16)>,
 }
 
 /// Lowers a verified program; `None` means "run this one interpreted".
@@ -222,12 +215,6 @@ pub(crate) fn compile(program: &Program) -> Option<CompiledProgram> {
             is_join[target as usize] = true;
         }
         ops.push(op);
-    }
-    // The memo cache slices ctx by the analysis read ranges; make the
-    // entry check cover them too (helper-argument reads have no LdCtx op
-    // of their own).
-    for &(_, end) in analysis.ctx_reads.iter().chain(analysis.ctx_writes.iter()) {
-        min_ctx = min_ctx.max(end);
     }
 
     const_fold(&mut ops, &is_join);
@@ -271,22 +258,6 @@ pub(crate) fn compile(program: &Program) -> Option<CompiledProgram> {
         )
     });
     let total_weight = weights.iter().map(|&w| w as u64).sum();
-    let mut key_plan = Vec::new();
-    let mut at = 0u16;
-    for &(s, e) in analysis.ctx_reads.iter() {
-        let mut o = s;
-        while o < e {
-            let size = match e - o {
-                8.. => 8u8,
-                4.. => 4,
-                2.. => 2,
-                _ => 1,
-            };
-            key_plan.push((o as u16, size, at));
-            o += size as usize;
-            at += size as u16;
-        }
-    }
     Some(CompiledProgram {
         ops: out_ops,
         weights,
@@ -294,7 +265,6 @@ pub(crate) fn compile(program: &Program) -> Option<CompiledProgram> {
         min_ctx,
         uses_stack,
         total_weight,
-        key_plan,
     })
 }
 
@@ -449,7 +419,7 @@ fn lower(insn: &Insn, pc: usize, fact: Option<AccessFact>, min_ctx: &mut usize) 
                     | ALU_ARSH
             ) {
                 // The interpreter would raise BadOpcode at runtime; keep
-                // that behavior by not tiering the program.
+                // that behavior by not compiling the program.
                 return None;
             }
             Some(if aluop == ALU_MOV && !use_reg {
@@ -1085,27 +1055,5 @@ mod tests {
         b.mov64_imm(R1, 7).call(helpers::TRACE).exit();
         let p = build(b);
         assert!(compile(&p).is_none());
-    }
-
-    #[test]
-    fn min_ctx_covers_helper_key_reads() {
-        use crate::maps::MapDef;
-        // Key comes straight from the ctx pointer: no LdCtx op exists,
-        // but min_ctx must still cover the helper's 4-byte read at 32.
-        let mut b = ProgramBuilder::new();
-        let m = b.declare_map(MapDef {
-            value_size: 8,
-            max_entries: 4,
-        });
-        b.mov64(R2, R1)
-            .add64_imm(R2, 32)
-            .mov64_imm(R1, m as i32)
-            .call(helpers::MAP_LOOKUP)
-            .mov64_imm(R0, 0)
-            .exit();
-        let p = build(b);
-        assert_eq!(p.ctx_reads(), &[(32, 36)]);
-        let c = compile(&p).expect("compiles");
-        assert!(c.min_ctx >= 36);
     }
 }

@@ -136,317 +136,6 @@ pub fn disasm(insns: &[Insn]) -> String {
         .join("\n")
 }
 
-fn alu_op_from_name(name: &str) -> Option<u8> {
-    Some(match name {
-        "add" => ALU_ADD,
-        "sub" => ALU_SUB,
-        "mul" => ALU_MUL,
-        "div" => ALU_DIV,
-        "or" => ALU_OR,
-        "and" => ALU_AND,
-        "lsh" => ALU_LSH,
-        "rsh" => ALU_RSH,
-        "neg" => ALU_NEG,
-        "mod" => ALU_MOD,
-        "xor" => ALU_XOR,
-        "mov" => ALU_MOV,
-        "arsh" => ALU_ARSH,
-        _ => return None,
-    })
-}
-
-fn jmp_op_from_name(name: &str) -> Option<u8> {
-    Some(match name {
-        "jeq" => JMP_JEQ,
-        "jgt" => JMP_JGT,
-        "jge" => JMP_JGE,
-        "jset" => JMP_JSET,
-        "jne" => JMP_JNE,
-        "jsgt" => JMP_JSGT,
-        "jsge" => JMP_JSGE,
-        "jlt" => JMP_JLT,
-        "jle" => JMP_JLE,
-        "jslt" => JMP_JSLT,
-        "jsle" => JMP_JSLE,
-        _ => return None,
-    })
-}
-
-fn size_from_suffix(s: &str) -> Option<u8> {
-    Some(match s {
-        "b" => SIZE_B,
-        "h" => SIZE_H,
-        "w" => SIZE_W,
-        "dw" => SIZE_DW,
-        _ => return None,
-    })
-}
-
-fn parse_reg(tok: &str) -> Result<Reg, String> {
-    let t = tok.trim().trim_end_matches(',');
-    let n = t
-        .strip_prefix('r')
-        .ok_or_else(|| format!("expected register, got `{t}`"))?;
-    let v: u8 = n.parse().map_err(|_| format!("bad register `{t}`"))?;
-    if (v as usize) >= NUM_REGS {
-        return Err(format!("bad register `{t}`"));
-    }
-    Ok(v)
-}
-
-fn parse_imm(tok: &str) -> Result<i64, String> {
-    let t = tok.trim().trim_end_matches(',');
-    if let Some(h) = t.strip_prefix("0x") {
-        u64::from_str_radix(h, 16)
-            .map(|v| v as i64)
-            .map_err(|_| format!("bad immediate `{t}`"))
-    } else {
-        t.parse::<i64>().map_err(|_| format!("bad immediate `{t}`"))
-    }
-}
-
-/// Parses a `[rN{+|-}off]` memory operand.
-fn parse_mem(tok: &str) -> Result<(Reg, i16), String> {
-    let t = tok.trim().trim_end_matches(',');
-    let inner = t
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("expected [reg+off], got `{t}`"))?;
-    let sign = inner
-        .find(['+', '-'])
-        .ok_or_else(|| format!("missing offset sign in `{t}`"))?;
-    let (r, o) = inner.split_at(sign);
-    let reg = parse_reg(r)?;
-    let off: i16 = o.parse().map_err(|_| format!("bad offset `{o}`"))?;
-    Ok((reg, off))
-}
-
-/// Splits `"a, b, c"` operand text on commas, trimming each piece.
-fn operands(rest: &str) -> Vec<&str> {
-    rest.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
-/// Parses `-> target` into a branch offset relative to `pc`.
-fn parse_target(tok: &str, pc: usize) -> Result<i16, String> {
-    let t = tok
-        .trim()
-        .strip_prefix("->")
-        .ok_or_else(|| format!("expected `-> target`, got `{tok}`"))?
-        .trim();
-    let target: i64 = t.parse().map_err(|_| format!("bad jump target `{t}`"))?;
-    let off = target - pc as i64 - 1;
-    i16::try_from(off).map_err(|_| format!("jump target {target} out of range at pc {pc}"))
-}
-
-/// Parses the text format produced by [`disasm`] back into instructions —
-/// the inverse direction of the assembler round trip
-/// (`assemble → disasm → parse_program` is the identity; see the
-/// `full_isa_round_trips_through_text` test).
-///
-/// Accepts an optional `N:` line-number prefix (as emitted by [`disasm`]);
-/// when present, it must match the instruction's position. Blank lines are
-/// skipped. Emits canonical encodings: `SRC_K` for `neg`, `MODE_MEM` for
-/// register-indirect loads/stores, `MODE_IMM` for `lddw`.
-pub fn parse_program(text: &str) -> Result<Vec<Insn>, String> {
-    let mut insns: Vec<Insn> = Vec::new();
-    for raw in text.lines() {
-        let mut line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let pc = insns.len();
-        if let Some((num, rest)) = line.split_once(':') {
-            let num = num.trim();
-            if !num.is_empty() && num.chars().all(|c| c.is_ascii_digit()) {
-                let n: usize = num
-                    .parse()
-                    .map_err(|_| format!("bad line number `{num}`"))?;
-                if n != pc {
-                    return Err(format!("line numbered {n} but parsed at pc {pc}"));
-                }
-                line = rest.trim();
-            }
-        }
-        let (mn, rest) = match line.split_once(char::is_whitespace) {
-            Some((m, r)) => (m, r.trim()),
-            None => (line, ""),
-        };
-        let insn = match mn {
-            "exit" => Insn {
-                op: CLASS_JMP | JMP_EXIT,
-                dst: 0,
-                src: 0,
-                off: 0,
-                imm: 0,
-            },
-            "call" => Insn {
-                op: CLASS_JMP | JMP_CALL,
-                dst: 0,
-                src: 0,
-                off: 0,
-                imm: parse_imm(rest)?,
-            },
-            "lddw" => {
-                let ops = operands(rest);
-                if ops.len() != 2 {
-                    return Err(format!("lddw needs `reg, imm`, got `{rest}`"));
-                }
-                Insn {
-                    op: CLASS_LD | MODE_IMM | SIZE_DW,
-                    dst: parse_reg(ops[0])?,
-                    src: 0,
-                    off: 0,
-                    imm: parse_imm(ops[1])?,
-                }
-            }
-            "ja" => {
-                let mut toks = rest.split_whitespace();
-                let off_tok = toks
-                    .next()
-                    .ok_or_else(|| "ja needs an offset".to_string())?;
-                let off: i16 = off_tok
-                    .parse()
-                    .map_err(|_| format!("bad ja offset `{off_tok}`"))?;
-                Insn {
-                    op: CLASS_JMP | JMP_JA,
-                    dst: 0,
-                    src: 0,
-                    off,
-                    imm: 0,
-                }
-            }
-            _ if mn.starts_with("ldx") => {
-                let size =
-                    size_from_suffix(&mn[3..]).ok_or_else(|| format!("bad load size in `{mn}`"))?;
-                let ops = operands(rest);
-                if ops.len() != 2 {
-                    return Err(format!("{mn} needs `reg, [reg+off]`, got `{rest}`"));
-                }
-                let (src, off) = parse_mem(ops[1])?;
-                Insn {
-                    op: CLASS_LDX | MODE_MEM | size,
-                    dst: parse_reg(ops[0])?,
-                    src,
-                    off,
-                    imm: 0,
-                }
-            }
-            _ if mn.starts_with("stx") => {
-                let size = size_from_suffix(&mn[3..])
-                    .ok_or_else(|| format!("bad store size in `{mn}`"))?;
-                let ops = operands(rest);
-                if ops.len() != 2 {
-                    return Err(format!("{mn} needs `[reg+off], reg`, got `{rest}`"));
-                }
-                let (dst, off) = parse_mem(ops[0])?;
-                Insn {
-                    op: CLASS_STX | MODE_MEM | size,
-                    dst,
-                    src: parse_reg(ops[1])?,
-                    off,
-                    imm: 0,
-                }
-            }
-            _ if mn.starts_with("st") => {
-                let size = size_from_suffix(&mn[2..])
-                    .ok_or_else(|| format!("bad store size in `{mn}`"))?;
-                let ops = operands(rest);
-                if ops.len() != 2 {
-                    return Err(format!("{mn} needs `[reg+off], imm`, got `{rest}`"));
-                }
-                let (dst, off) = parse_mem(ops[0])?;
-                Insn {
-                    op: CLASS_ST | MODE_MEM | size,
-                    dst,
-                    src: 0,
-                    off,
-                    imm: parse_imm(ops[1])?,
-                }
-            }
-            _ if jmp_op_from_name(mn).is_some() => {
-                let jop = jmp_op_from_name(mn).expect("checked");
-                let ops = operands(rest);
-                if ops.len() != 3 {
-                    return Err(format!(
-                        "{mn} needs `reg, operand, -> target`, got `{rest}`"
-                    ));
-                }
-                let dst = parse_reg(ops[0])?;
-                let off = parse_target(ops[2], pc)?;
-                if ops[1].starts_with('r') && parse_reg(ops[1]).is_ok() {
-                    Insn {
-                        op: CLASS_JMP | SRC_X | jop,
-                        dst,
-                        src: parse_reg(ops[1])?,
-                        off,
-                        imm: 0,
-                    }
-                } else {
-                    Insn {
-                        op: CLASS_JMP | SRC_K | jop,
-                        dst,
-                        src: 0,
-                        off,
-                        imm: parse_imm(ops[1])?,
-                    }
-                }
-            }
-            _ => {
-                // ALU: `{name}{64|32}` with one (neg) or two operands.
-                let (base, class) = if let Some(b) = mn.strip_suffix("64") {
-                    (b, CLASS_ALU64)
-                } else if let Some(b) = mn.strip_suffix("32") {
-                    (b, CLASS_ALU)
-                } else {
-                    return Err(format!("unknown mnemonic `{mn}`"));
-                };
-                let aluop =
-                    alu_op_from_name(base).ok_or_else(|| format!("unknown mnemonic `{mn}`"))?;
-                let ops = operands(rest);
-                if aluop == ALU_NEG {
-                    if ops.len() != 1 {
-                        return Err(format!("{mn} takes one register, got `{rest}`"));
-                    }
-                    Insn {
-                        op: class | SRC_K | ALU_NEG,
-                        dst: parse_reg(ops[0])?,
-                        src: 0,
-                        off: 0,
-                        imm: 0,
-                    }
-                } else {
-                    if ops.len() != 2 {
-                        return Err(format!("{mn} needs `reg, operand`, got `{rest}`"));
-                    }
-                    let dst = parse_reg(ops[0])?;
-                    if ops[1].starts_with('r') && parse_reg(ops[1]).is_ok() {
-                        Insn {
-                            op: class | SRC_X | aluop,
-                            dst,
-                            src: parse_reg(ops[1])?,
-                            off: 0,
-                            imm: 0,
-                        }
-                    } else {
-                        Insn {
-                            op: class | SRC_K | aluop,
-                            dst,
-                            src: 0,
-                            off: 0,
-                            imm: parse_imm(ops[1])?,
-                        }
-                    }
-                }
-            }
-        };
-        insns.push(insn);
-    }
-    Ok(insns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,12 +201,103 @@ mod tests {
         assert!(!text.contains("jmp?"));
     }
 
+    /// What [`disasm`] renders for the program built in
+    /// `full_isa_matches_golden_listing`.
+    const GOLDEN: &str = "   0: add64 r3, -7
+   1: add64 r3, r4
+   2: sub64 r3, -7
+   3: sub64 r3, r4
+   4: mul64 r3, -7
+   5: mul64 r3, r4
+   6: div64 r3, -7
+   7: div64 r3, r4
+   8: or64 r3, -7
+   9: or64 r3, r4
+  10: and64 r3, -7
+  11: and64 r3, r4
+  12: lsh64 r3, -7
+  13: lsh64 r3, r4
+  14: rsh64 r3, -7
+  15: rsh64 r3, r4
+  16: mod64 r3, -7
+  17: mod64 r3, r4
+  18: xor64 r3, -7
+  19: xor64 r3, r4
+  20: mov64 r3, -7
+  21: mov64 r3, r4
+  22: arsh64 r3, -7
+  23: arsh64 r3, r4
+  24: neg64 r5
+  25: add32 r3, -7
+  26: add32 r3, r4
+  27: sub32 r3, -7
+  28: sub32 r3, r4
+  29: mul32 r3, -7
+  30: mul32 r3, r4
+  31: div32 r3, -7
+  32: div32 r3, r4
+  33: or32 r3, -7
+  34: or32 r3, r4
+  35: and32 r3, -7
+  36: and32 r3, r4
+  37: lsh32 r3, -7
+  38: lsh32 r3, r4
+  39: rsh32 r3, -7
+  40: rsh32 r3, r4
+  41: mod32 r3, -7
+  42: mod32 r3, r4
+  43: xor32 r3, -7
+  44: xor32 r3, r4
+  45: mov32 r3, -7
+  46: mov32 r3, r4
+  47: arsh32 r3, -7
+  48: arsh32 r3, r4
+  49: neg32 r5
+  50: lddw r2, 0x1122334455667788
+  51: lddw r6, 0xffffffffffffffff
+  52: ldxb r2, [r1+8]
+  53: stb [r10-16], 99
+  54: stxb [r10-24], r2
+  55: ldxh r2, [r1+8]
+  56: sth [r10-16], 99
+  57: stxh [r10-24], r2
+  58: ldxw r2, [r1+8]
+  59: stw [r10-16], 99
+  60: stxw [r10-24], r2
+  61: ldxdw r2, [r1+8]
+  62: stdw [r10-16], 99
+  63: stxdw [r10-24], r2
+  64: ja +3 -> 68
+  65: jeq r2, -3, -> 71
+  66: jeq r2, r3, -> 69
+  67: jgt r2, -3, -> 73
+  68: jgt r2, r3, -> 71
+  69: jge r2, -3, -> 75
+  70: jge r2, r3, -> 73
+  71: jset r2, -3, -> 77
+  72: jset r2, r3, -> 75
+  73: jne r2, -3, -> 79
+  74: jne r2, r3, -> 77
+  75: jsgt r2, -3, -> 81
+  76: jsgt r2, r3, -> 79
+  77: jsge r2, -3, -> 83
+  78: jsge r2, r3, -> 81
+  79: jlt r2, -3, -> 85
+  80: jlt r2, r3, -> 83
+  81: jle r2, -3, -> 87
+  82: jle r2, r3, -> 85
+  83: jslt r2, -3, -> 89
+  84: jslt r2, r3, -> 87
+  85: jsle r2, -3, -> 91
+  86: jsle r2, r3, -> 89
+  87: call 4
+  88: exit";
+
     #[test]
-    fn full_isa_round_trips_through_text() {
+    fn full_isa_matches_golden_listing() {
         // Every instruction form in the ISA: all ALU ops (64/32,
         // imm/reg), lddw, every load/store size, ja, every conditional
-        // jump (imm/reg), call, exit. assemble → disasm → parse must be
-        // the identity.
+        // jump (imm/reg), call, exit, each rendered exactly as listed.
         let alu_ops = [
             ALU_ADD, ALU_SUB, ALU_MUL, ALU_DIV, ALU_OR, ALU_AND, ALU_LSH, ALU_RSH, ALU_MOD,
             ALU_XOR, ALU_MOV, ALU_ARSH,
@@ -627,24 +407,6 @@ mod tests {
             imm: 0,
         });
 
-        let text = disasm(&insns);
-        let parsed = parse_program(&text).unwrap_or_else(|e| panic!("{e}\ntext was:\n{text}"));
-        assert_eq!(parsed, insns, "text was:\n{text}");
-
-        // Un-numbered text (hand-written form) parses identically.
-        let bare: String = text
-            .lines()
-            .map(|l| l.split_once(':').unwrap().1.trim())
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_eq!(parse_program(&bare).unwrap(), insns);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(parse_program("frob r1, r2").is_err());
-        assert!(parse_program("mov64 r99, 1").is_err());
-        assert!(parse_program("ldxw r1, r2").is_err());
-        assert!(parse_program("5: exit").is_err(), "mismatched line number");
+        assert_eq!(disasm(&insns), GOLDEN);
     }
 }

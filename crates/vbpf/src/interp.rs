@@ -9,7 +9,6 @@
 use crate::compile::{compile, CompiledProgram, Op};
 use crate::isa::*;
 use crate::maps::ArrayMap;
-use crate::memo::{CtxWrite, Key, MemoStats, VerdictCache, MAX_KEY};
 use crate::Program;
 
 /// Helper function identifiers callable from programs.
@@ -30,7 +29,7 @@ pub(crate) const CTX_BASE: u64 = 0x1000_0000_0000_0000;
 pub(crate) const STACK_BASE: u64 = 0x2000_0000_0000_0000;
 
 /// Width of the runtime register file. The ISA has [`NUM_REGS`] (11)
-/// registers; executing over a 16-slot array lets the compiled tier's
+/// registers; executing over a 16-slot array lets the compiled engine's
 /// accessors mask indices (`r & 15`) instead of bounds-checking them —
 /// the verifier guarantees register numbers are in range, so the masked
 /// and checked forms are observably identical.
@@ -51,19 +50,16 @@ const MAP_BASE: u64 = 0x3000_0000_0000_0000;
 const MAP_IDX_SHIFT: u32 = 40;
 const MAP_OFF_MASK: u64 = (1 << MAP_IDX_SHIFT) - 1;
 
-/// Which execution tier answered an invocation (see
-/// [`Vm::run_with_tier`]). The router surfaces per-tier counters and
+/// Which execution engine answered an invocation (see
+/// [`Vm::run_with_tier`]). The router surfaces per-engine counters and
 /// latency histograms through telemetry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// Fetch/decode interpreter: the fallback for programs the compile
-    /// tier rejects and for undersized contexts.
+    /// Fetch/decode interpreter: the fallback for programs the compiler
+    /// rejects and for undersized contexts.
     Interp,
     /// Pre-decoded op array ([`crate::compile`]).
     Compiled,
-    /// Verdict served from the memo cache ([`crate::memo`]); the program
-    /// did not execute at all.
-    CacheHit,
 }
 
 /// Runtime execution failures (should be unreachable for verified programs
@@ -96,8 +92,6 @@ pub struct VmConfig {
     pub max_insns: u64,
     /// Seed for the `prandom_u32` helper.
     pub prandom_seed: u64,
-    /// Verdict-cache slots for pure programs; 0 disables memoization.
-    pub memo_capacity: usize,
 }
 
 impl Default for VmConfig {
@@ -105,9 +99,15 @@ impl Default for VmConfig {
         VmConfig {
             max_insns: 1 << 20,
             prandom_seed: 0x9E37_79B9_7F4A_7C15,
-            memo_capacity: 256,
         }
     }
+}
+
+/// What [`Vm::memo_stats`] returns; deleted with it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    pub hits: u64,
+    pub misses: u64,
 }
 
 /// An instantiated program: bytecode plus its maps and helper state.
@@ -118,13 +118,6 @@ impl Default for VmConfig {
 pub struct Vm {
     program: Program,
     compiled: Option<CompiledProgram>,
-    memo: Option<VerdictCache>,
-    /// Bumped by [`Vm::map_mut`]; a mismatch with the cache's stored
-    /// generation flushes memoized verdicts (map contents are an input
-    /// to pure programs via `map_lookup`).
-    map_generation: u64,
-    /// Reusable journal buffer for memoized compiled runs.
-    journal: Vec<CtxWrite>,
     maps: Vec<ArrayMap>,
     time_ns: u64,
     rng: u64,
@@ -143,41 +136,24 @@ impl Vm {
     pub fn with_config(program: Program, cfg: VmConfig) -> Self {
         let maps = program.maps.iter().map(|d| ArrayMap::new(*d)).collect();
         let compiled = compile(&program);
-        let mut vm = Vm {
+        Vm {
             program,
             compiled,
-            memo: None,
-            map_generation: 0,
-            journal: Vec::new(),
             maps,
             time_ns: 0,
             rng: cfg.prandom_seed | 1,
             trace: Vec::new(),
             cfg,
             invocations: 0,
-        };
-        vm.set_memo_capacity(vm.cfg.memo_capacity);
-        vm
+        }
     }
 
-    /// Resizes (or disables, with 0) the verdict cache. The cache only
-    /// ever engages for programs that are pure, compiled, and whose ctx
-    /// read-set fits the key; for others this is a no-op beyond storing
-    /// the setting.
-    pub fn set_memo_capacity(&mut self, capacity: usize) {
-        self.cfg.memo_capacity = capacity;
-        let key_len: usize = self
-            .program
-            .analysis
-            .ctx_reads
-            .iter()
-            .map(|(s, e)| e - s)
-            .sum();
-        let eligible = capacity > 0
-            && self.compiled.is_some()
-            && self.program.analysis.pure
-            && key_len <= MAX_KEY;
-        self.memo = eligible.then(|| VerdictCache::new(capacity));
+    /// No-op: `benchmark/` is the only caller and the next `benchmark` PR deletes it.
+    pub fn set_memo_capacity(&mut self, _capacity: usize) {}
+
+    /// All zero: `benchmark/` is the only caller and the next `benchmark` PR deletes it.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats::default()
     }
 
     /// The verified program this Vm executes.
@@ -185,15 +161,9 @@ impl Vm {
         &self.program
     }
 
-    /// True when the pre-decoded compile tier is available.
+    /// True when the pre-decoded compiled engine is available.
     pub fn is_compiled(&self) -> bool {
         self.compiled.is_some()
-    }
-
-    /// Verdict-cache counters (all zero when memoization is disabled or
-    /// the program is ineligible).
-    pub fn memo_stats(&self) -> MemoStats {
-        self.memo.as_ref().map(|m| m.stats).unwrap_or_default()
     }
 
     /// Sets the virtual time returned by the `ktime_ns` helper.
@@ -206,10 +176,8 @@ impl Vm {
         &self.maps[idx]
     }
 
-    /// Host-side mutable access to a map. Conservatively invalidates
-    /// memoized verdicts (the caller may write through the reference).
+    /// Host-side mutable access to a map.
     pub fn map_mut(&mut self, idx: usize) -> &mut ArrayMap {
-        self.map_generation += 1;
         &mut self.maps[idx]
     }
 
@@ -225,91 +193,37 @@ impl Vm {
 
     /// Runs the program over `ctx`; returns R0 (the routing verdict).
     ///
-    /// Picks the fastest applicable tier (memo hit → compiled →
-    /// interpreter); use [`Vm::run_with_tier`] to observe which one ran,
-    /// or [`Vm::run_interp`] to force the interpreter.
+    /// Uses the compiled engine when it applies and the interpreter
+    /// otherwise; use [`Vm::run_with_tier`] to observe which one ran, or
+    /// [`Vm::run_interp`] to force the interpreter.
     pub fn run(&mut self, ctx: &mut [u8]) -> Result<u64, ExecError> {
         self.run_with_tier(ctx).map(|(v, _)| v)
     }
 
-    /// Runs the program and reports which execution tier answered.
+    /// Runs the program and reports which execution engine answered.
     #[inline]
     pub fn run_with_tier(&mut self, ctx: &mut [u8]) -> Result<(u64, Tier), ExecError> {
-        // Hot path: a memoized program re-seeing the request shape it saw
-        // last (the sequential-read pattern) replays the cached verdict
-        // and journal without materializing a key or touching the
-        // compiled engine at all.
-        if let (Some(cache), Some(cp)) = (&mut self.memo, &self.compiled) {
-            if ctx.len() >= cp.min_ctx && cache.generation_current(self.map_generation) {
-                if let Some(verdict) = cache.replay_last(&cp.key_plan, ctx) {
-                    self.invocations += 1;
-                    return Ok((verdict, Tier::CacheHit));
-                }
-            }
-        }
-        self.run_with_tier_full(ctx)
-    }
-
-    /// Tier dispatch past the memo fast path: interpreter fallback for
-    /// uncompiled programs or undersized contexts, then memo probe, then
-    /// the compiled engine (journaling into the memo when eligible).
-    #[inline]
-    fn run_with_tier_full(&mut self, ctx: &mut [u8]) -> Result<(u64, Tier), ExecError> {
-        let min_ctx = match &self.compiled {
-            Some(c) => c.min_ctx,
-            None => return self.run_interp(ctx).map(|v| (v, Tier::Interp)),
-        };
-        if ctx.len() < min_ctx {
+        match &self.compiled {
             // The compile-time bounds proofs assumed at least the
-            // verified ctx footprint; reproduce the interpreter's exact
-            // behavior (possibly OutOfBounds) for undersized contexts.
-            return self.run_interp(ctx).map(|v| (v, Tier::Interp));
+            // verified ctx footprint; an undersized context takes the
+            // interpreter, which reproduces its exact behavior (possibly
+            // OutOfBounds).
+            Some(c) if ctx.len() >= c.min_ctx => {
+                self.run_compiled(ctx).map(|v| (v, Tier::Compiled))
+            }
+            _ => self.run_interp(ctx).map(|v| (v, Tier::Interp)),
         }
-        if self.memo.is_none() {
-            return self.run_compiled(ctx, None).map(|v| (v, Tier::Compiled));
-        }
-        let key = Key::extract(&self.program.analysis.ctx_reads, ctx);
-        let generation = self.map_generation;
-        let hit = {
-            let cache = self.memo.as_mut().expect("memo checked above");
-            cache.lookup(&key, generation).map(|(verdict, writes)| {
-                for w in writes {
-                    store_le(ctx, w.off as usize, w.size as usize, w.v);
-                }
-                verdict
-            })
-        };
-        if let Some(verdict) = hit {
-            self.invocations += 1;
-            return Ok((verdict, Tier::CacheHit));
-        }
-        let mut journal = std::mem::take(&mut self.journal);
-        journal.clear();
-        let res = self.run_compiled(ctx, Some(&mut journal));
-        if let Ok(verdict) = res {
-            self.memo
-                .as_mut()
-                .expect("memo checked above")
-                .insert(key, verdict, &journal);
-        }
-        self.journal = journal;
-        res.map(|v| (v, Tier::Compiled))
     }
 
     /// Executes the pre-decoded op array. Caller guarantees
-    /// `self.compiled` is present and `ctx.len() >= min_ctx`; when
-    /// `journal` is given, every ctx write is recorded for memo replay.
+    /// `self.compiled` is present and `ctx.len() >= min_ctx`.
     #[inline]
-    fn run_compiled(
-        &mut self,
-        ctx: &mut [u8],
-        mut journal: Option<&mut Vec<CtxWrite>>,
-    ) -> Result<u64, ExecError> {
+    fn run_compiled(&mut self, ctx: &mut [u8]) -> Result<u64, ExecError> {
         let mut regs = [0u64; REG_FILE];
         regs[R1 as usize] = CTX_BASE;
         regs[R10 as usize] = STACK_BASE + STACK_SIZE as u64;
         let mut budget = self.cfg.max_insns;
-        let cp: *const CompiledProgram = self.compiled.as_ref().expect("compiled tier present");
+        let cp: *const CompiledProgram = self.compiled.as_ref().expect("compiled engine present");
         // SAFETY: `cp` borrows from self.compiled, which nothing in this
         // loop mutates (helper calls touch maps/rng/trace only); the raw
         // pointer avoids aliasing with `&mut self` for those calls.
@@ -385,15 +299,9 @@ impl Vm {
                 Op::StCtxReg { src, off, size } => {
                     let v = reg(&regs, src);
                     store_le(ctx, off as usize, size as usize, v);
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.push(CtxWrite { off, size, v });
-                    }
                 }
                 Op::StCtxImm { off, size, v } => {
                     store_le(ctx, off as usize, size as usize, v);
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.push(CtxWrite { off, size, v });
-                    }
                 }
                 Op::StStackReg { src, off, size } => {
                     let v = reg(&regs, src);
@@ -498,9 +406,6 @@ impl Vm {
                     })?;
                     *reg_mut(&mut regs, dst) = v;
                     store_le(ctx, off as usize, size as usize, v);
-                    if let Some(j) = journal.as_deref_mut() {
-                        j.push(CtxWrite { off, size, v });
-                    }
                 }
                 Op::MovImmExit { v } => {
                     self.invocations += 1;
@@ -512,8 +417,8 @@ impl Vm {
     }
 
     /// Runs the program on the fetch/decode interpreter, bypassing the
-    /// compile tier and the memo cache (used as the fallback tier and by
-    /// the differential tests/benches as the reference executor).
+    /// compiled engine (used as the fallback and by the differential
+    /// tests/benches as the reference executor).
     pub fn run_interp(&mut self, ctx: &mut [u8]) -> Result<u64, ExecError> {
         let mut regs = [0u64; REG_FILE];
         let mut stack = [0u8; STACK_SIZE];
@@ -782,7 +687,7 @@ fn exec_alu(
 }
 
 /// The single source of ALU semantics, shared by the interpreter, the
-/// compiled tier's dispatch loop, and the compile tier's constant folder
+/// compiled engine's dispatch loop, and the compiler's constant folder
 /// (so a folded constant is bit-identical to what execution would have
 /// produced). `None` means an undefined ALU family (`BadOpcode` at
 /// runtime, "don't fold" at compile time).
@@ -840,7 +745,7 @@ pub(crate) fn alu_value(aluop: u8, is64: bool, a: u64, b: u64) -> Option<u64> {
     Some(v)
 }
 
-/// Branch predicate shared by both execution tiers; `None` means an
+/// Branch predicate shared by both execution engines; `None` means an
 /// undefined jump family (`BadOpcode` at runtime).
 #[inline(always)]
 pub(crate) fn branch_taken(jmpop: u8, a: u64, b: u64) -> Option<bool> {
@@ -1134,163 +1039,6 @@ mod tests {
         assert_eq!(vm.map(0).get_u64(0), Some(0x1122));
     }
 
-    /// ctx[0..8] += map[0]; return 0x11 — pure, compiled, memoizable.
-    fn offset_vm() -> Vm {
-        let mut b = ProgramBuilder::new();
-        let m = b.declare_map(MapDef {
-            value_size: 8,
-            max_entries: 1,
-        });
-        let is_null = b.new_label();
-        b.mov64(R6, R1)
-            .st_imm(SIZE_W, R10, -4, 0)
-            .mov64_imm(R1, m as i32)
-            .mov64(R2, R10)
-            .add64_imm(R2, -4)
-            .call(helpers::MAP_LOOKUP)
-            .jmp_imm(JMP_JEQ, R0, 0, is_null)
-            .ldx(SIZE_DW, R3, R0, 0)
-            .ldx(SIZE_DW, R2, R6, 0)
-            .alu64(ALU_ADD, R2, R3)
-            .stx(SIZE_DW, R6, 0, R2)
-            .mov64_imm(R0, 0x11)
-            .exit();
-        b.bind(is_null);
-        b.mov64_imm(R0, 0x22).exit();
-        compile(b, 16, 0..16)
-    }
-
-    #[test]
-    fn pure_program_hits_memo_on_repeat() {
-        let mut vm = offset_vm();
-        vm.map_mut(0).set_u64(0, 0x1000).unwrap();
-        assert!(vm.is_compiled());
-        assert!(vm.program().is_pure());
-
-        let mut ctx = [0u8; 16];
-        ctx[..8].copy_from_slice(&0x40u64.to_le_bytes());
-        let (v, tier) = vm.run_with_tier(&mut ctx).unwrap();
-        assert_eq!((v, tier), (0x11, Tier::Compiled));
-        assert_eq!(u64::from_le_bytes(ctx[..8].try_into().unwrap()), 0x1040);
-
-        // Same key again: cache hit, and the journal replays the write.
-        let mut ctx = [0u8; 16];
-        ctx[..8].copy_from_slice(&0x40u64.to_le_bytes());
-        let (v, tier) = vm.run_with_tier(&mut ctx).unwrap();
-        assert_eq!((v, tier), (0x11, Tier::CacheHit));
-        assert_eq!(u64::from_le_bytes(ctx[..8].try_into().unwrap()), 0x1040);
-        assert_eq!(vm.memo_stats().hits, 1);
-        assert_eq!(vm.invocations(), 2);
-    }
-
-    #[test]
-    fn memo_is_keyed_on_ctx_reads() {
-        let mut vm = offset_vm();
-        vm.map_mut(0).set_u64(0, 7).unwrap();
-        let mut a = [0u8; 16];
-        a[..8].copy_from_slice(&1u64.to_le_bytes());
-        let mut b = [0u8; 16];
-        b[..8].copy_from_slice(&2u64.to_le_bytes());
-        assert_eq!(vm.run(&mut a).unwrap(), 0x11);
-        // Different slba → different key → miss, correct fresh result.
-        assert_eq!(vm.run(&mut b).unwrap(), 0x11);
-        assert_eq!(u64::from_le_bytes(b[..8].try_into().unwrap()), 9);
-        assert_eq!(vm.memo_stats().hits, 0);
-        assert_eq!(vm.memo_stats().misses, 2);
-    }
-
-    #[test]
-    fn external_map_update_invalidates_memo() {
-        let mut vm = offset_vm();
-        vm.map_mut(0).set_u64(0, 0x1000).unwrap();
-        let run = |vm: &mut Vm| {
-            let mut ctx = [0u8; 16];
-            ctx[..8].copy_from_slice(&0x40u64.to_le_bytes());
-            vm.run(&mut ctx).unwrap();
-            u64::from_le_bytes(ctx[..8].try_into().unwrap())
-        };
-        assert_eq!(run(&mut vm), 0x1040);
-        assert_eq!(run(&mut vm), 0x1040); // cached
-        vm.map_mut(0).set_u64(0, 0x2000).unwrap();
-        // The host changed an input: the stale verdict must not replay.
-        assert_eq!(run(&mut vm), 0x2040);
-        assert_eq!(vm.memo_stats().invalidations, 1);
-        assert_eq!(vm.memo_stats().hits, 1);
-    }
-
-    #[test]
-    fn impure_programs_bypass_memo() {
-        // prandom makes the program impure: every run must execute.
-        let mut b = ProgramBuilder::new();
-        b.call(helpers::PRANDOM_U32).exit();
-        let mut vm = compile(b, 8, 0..0);
-        assert!(!vm.program().is_pure());
-        let mut ctx = [0u8; 8];
-        let a = vm.run_with_tier(&mut ctx).unwrap();
-        let b2 = vm.run_with_tier(&mut ctx).unwrap();
-        assert_eq!(a.1, Tier::Compiled);
-        assert_eq!(b2.1, Tier::Compiled);
-        assert_ne!(a.0, b2.0, "prandom must advance on every invocation");
-        assert_eq!(vm.memo_stats(), MemoStats::default());
-    }
-
-    #[test]
-    fn map_writing_programs_bypass_memo() {
-        let mut b = ProgramBuilder::new();
-        let m = b.declare_map(MapDef {
-            value_size: 8,
-            max_entries: 1,
-        });
-        let is_null = b.new_label();
-        b.st_imm(SIZE_W, R10, -4, 0)
-            .mov64_imm(R1, m as i32)
-            .mov64(R2, R10)
-            .add64_imm(R2, -4)
-            .call(helpers::MAP_LOOKUP)
-            .jmp_imm(JMP_JEQ, R0, 0, is_null)
-            .ldx(SIZE_DW, R2, R0, 0)
-            .add64_imm(R2, 1)
-            .stx(SIZE_DW, R0, 0, R2)
-            .mov64(R0, R2)
-            .exit();
-        b.bind(is_null);
-        b.mov64_imm(R0, 0).exit();
-        let mut vm = compile(b, 8, 0..0);
-        assert!(!vm.program().is_pure());
-        let mut ctx = [0u8; 8];
-        // The counter must advance every run — no cached replay.
-        assert_eq!(vm.run(&mut ctx).unwrap(), 1);
-        assert_eq!(vm.run(&mut ctx).unwrap(), 2);
-        assert_eq!(vm.run(&mut ctx).unwrap(), 3);
-        assert_eq!(vm.memo_stats(), MemoStats::default());
-    }
-
-    #[test]
-    fn memo_is_bounded_and_counts_evictions() {
-        let mut vm = offset_vm();
-        vm.set_memo_capacity(2);
-        vm.map_mut(0).set_u64(0, 1).unwrap();
-        for slba in 0..64u64 {
-            let mut ctx = [0u8; 16];
-            ctx[..8].copy_from_slice(&slba.to_le_bytes());
-            vm.run(&mut ctx).unwrap();
-        }
-        let stats = vm.memo_stats();
-        assert_eq!(stats.misses, 64);
-        assert!(stats.evictions >= 62 - 2, "bounded cache must evict");
-    }
-
-    #[test]
-    fn memo_capacity_zero_disables_cache() {
-        let mut vm = offset_vm();
-        vm.set_memo_capacity(0);
-        let mut ctx = [0u8; 16];
-        assert_eq!(vm.run_with_tier(&mut ctx).unwrap().1, Tier::Compiled);
-        let mut ctx = [0u8; 16];
-        assert_eq!(vm.run_with_tier(&mut ctx).unwrap().1, Tier::Compiled);
-        assert_eq!(vm.memo_stats(), MemoStats::default());
-    }
-
     #[test]
     fn trace_program_falls_back_to_interp_tier() {
         let mut b = ProgramBuilder::new();
@@ -1319,6 +1067,51 @@ mod tests {
         let mut full = [0u8; 16];
         full[8..].copy_from_slice(&0xABu64.to_le_bytes());
         assert_eq!(vm.run_with_tier(&mut full).unwrap().0, 0xAB);
+    }
+
+    #[test]
+    fn short_ctx_under_a_helper_key_read_fails_alike_in_both_engines() {
+        // The map key is read by the helper straight from ctx[32..36] and
+        // MAP_UPDATE's value from ctx[40..48]: no compiled op carries those
+        // offsets, so the compiled engine runs and the helper's own bounds
+        // check must fail exactly as interpreted, leaving the same map and
+        // ctx bytes behind.
+        let build = |helper: u32| {
+            let mut b = ProgramBuilder::new();
+            let m = b.declare_map(MapDef {
+                value_size: 8,
+                max_entries: 4,
+            });
+            b.mov64(R2, R1)
+                .add64_imm(R2, 32)
+                .mov64(R3, R1)
+                .add64_imm(R3, 40)
+                .mov64_imm(R1, m as i32)
+                .call(helper)
+                .mov64_imm(R0, 0)
+                .exit();
+            b
+        };
+        for (helper, needs) in [(helpers::MAP_LOOKUP, 36), (helpers::MAP_UPDATE, 48)] {
+            let mut vm = compile(build(helper), 48, 0..0);
+            let mut interp = compile(build(helper), 48, 0..0);
+            assert!(vm.is_compiled());
+            for len in [32usize, 34, 36, 40, 44, 47, 48] {
+                let mut ctx_a: Vec<u8> = (0..48).collect();
+                ctx_a[32..36].copy_from_slice(&1u32.to_le_bytes()); // key 1
+                ctx_a.truncate(len);
+                let mut ctx_b = ctx_a.clone();
+                let a = vm.run_with_tier(&mut ctx_a);
+                let b = interp.run_interp(&mut ctx_b);
+                assert_eq!(a.map(|(v, _)| v), b, "helper {helper} ctx len {len}");
+                assert_eq!(b.is_err(), len < needs, "helper {helper} ctx len {len}");
+                assert_eq!(ctx_a, ctx_b, "helper {helper} ctx len {len}");
+                assert_eq!(vm.map(0).get_u64(1), interp.map(0).get_u64(1));
+                let stored = helper == helpers::MAP_UPDATE && len >= needs;
+                let want = u64::from_le_bytes([40, 41, 42, 43, 44, 45, 46, 47]);
+                assert_eq!(vm.map(0).get_u64(1), Some(if stored { want } else { 0 }));
+            }
+        }
     }
 
     #[test]

@@ -13,23 +13,21 @@
 //!   contract: no uninitialized reads, all memory accesses provably in
 //!   bounds, helper argument types respected, guaranteed termination —
 //!   and, as a byproduct, per-instruction access facts plus the program's
-//!   ctx read/write footprint and purity ([`verifier::Analysis`]);
+//!   ctx write footprint ([`verifier::Analysis`]);
 //! * [`interp`] — the interpreter, with bounds re-checks as defense in
-//!   depth, helper functions, and an instruction budget;
-//! * [`compile`] — the tier-up: lowers verified bytecode into a
+//!   depth, helper functions, and an instruction budget; it is the
+//!   reference executor and the fallback engine;
+//! * [`compile`] — the fast engine: lowers verified bytecode into a
 //!   pre-decoded dense op array (operands resolved, constant ctx/stack
 //!   offsets bounds-checked once using verifier facts, constant folding
 //!   and dead-store elimination) run by a tight dispatch loop; anything
-//!   it rejects falls back to the interpreter, and both tiers agree
+//!   it rejects falls back to the interpreter, and both engines agree
 //!   instruction for instruction (see `tests/differential.rs`);
-//! * [`memo`] — verdict memoization for *pure* programs, keyed on
-//!   exactly the ctx bytes the program reads, replaying mediated ctx
-//!   writes from a per-entry journal;
 //! * [`maps`] — array maps shared between classifier invocations (used for
 //!   per-request state and configuration, like Linux BPF maps).
 //!
 //! Divergences from Linux eBPF are documented in `DESIGN.md` §8: the
-//! tier-up is a pre-decoded threaded interpreter rather than native JIT
+//! fast engine is a pre-decoded threaded interpreter rather than native JIT
 //! (no unsafe codegen), there is no BTF, and termination is guaranteed by
 //! rejecting backward jumps (pre-5.3 Linux semantics) rather than by
 //! bounded-loop analysis.
@@ -40,23 +38,21 @@ pub mod disasm;
 pub mod interp;
 pub mod isa;
 pub mod maps;
-pub mod memo;
 pub mod verifier;
 
 pub use builder::{Label, ProgramBuilder};
-pub use disasm::{disasm, parse_program};
+pub use disasm::disasm;
 pub use interp::{ExecError, Tier, Vm, VmConfig};
 pub use isa::{Insn, Reg};
 pub use maps::{ArrayMap, MapDef};
-pub use memo::MemoStats;
 pub use verifier::{verify, AccessFact, Analysis, VerifierConfig, VerifyError};
 
 /// A verified, executable vbpf program.
 ///
 /// Can only be constructed through [`verify`], mirroring the kernel's rule
 /// that unverified bytecode never runs. Carries the verifier's
-/// [`Analysis`] so the compile tier and the memo cache can trust its
-/// access facts without re-deriving them.
+/// [`Analysis`] so the compiled engine can trust its access facts
+/// without re-deriving them.
 #[derive(Debug)]
 pub struct Program {
     pub(crate) insns: Vec<Insn>,
@@ -81,20 +77,8 @@ impl Program {
     }
 
     /// Sorted, coalesced `(start, end)` byte ranges of every context
-    /// read the program can make (loads and helper arguments).
-    pub fn ctx_reads(&self) -> &[(usize, usize)] {
-        &self.analysis.ctx_reads
-    }
-
-    /// Sorted, coalesced `(start, end)` byte ranges of every context
     /// write the program can make (direct mediation footprint).
     pub fn ctx_writes(&self) -> &[(usize, usize)] {
         &self.analysis.ctx_writes
-    }
-
-    /// True iff the verdict depends only on the ctx bytes read and on
-    /// map contents: no map writes, no `ktime_ns`/`prandom_u32`/`trace`.
-    pub fn is_pure(&self) -> bool {
-        self.analysis.pure
     }
 }

@@ -109,39 +109,28 @@ pub enum AccessFact {
 }
 
 /// Byproduct of verification: per-instruction access facts plus the
-/// program's context read/write footprint and purity.
+/// program's context write footprint.
 ///
-/// `ctx_reads` / `ctx_writes` are sorted, coalesced `(start, end)` byte
-/// ranges covering every context access the program can make, including
-/// helper arguments that point into the context. `pure` is true iff the
-/// program's verdict depends only on the context bytes it reads and on
-/// map contents: no map writes, no `ktime_ns` / `prandom_u32` / `trace`
-/// helpers. Purity is what licenses verdict memoization
-/// ([`crate::memo`]); map *reads* stay pure because the cache is
-/// invalidated whenever a map is touched externally.
+/// `ctx_writes` holds sorted, coalesced `(start, end)` byte ranges covering
+/// every context store the program can make.
 #[derive(Clone, Debug)]
 pub struct Analysis {
     /// One slot per instruction; `Some` for every LDX/ST/STX the program
     /// can execute (the in-order pass visits all reachable pcs, and
     /// unreachable code is rejected, so the facts are complete).
     pub(crate) access: Vec<Option<AccessFact>>,
-    pub(crate) ctx_reads: Vec<(usize, usize)>,
     pub(crate) ctx_writes: Vec<(usize, usize)>,
-    pub(crate) pure: bool,
 }
 
 impl Analysis {
     fn new(len: usize) -> Self {
         Analysis {
             access: vec![None; len],
-            ctx_reads: Vec::new(),
             ctx_writes: Vec::new(),
-            pure: true,
         }
     }
 
     fn finalize(&mut self) {
-        coalesce(&mut self.ctx_reads);
         coalesce(&mut self.ctx_writes);
     }
 }
@@ -373,34 +362,16 @@ impl<'a> Verifier<'a> {
                 let a = (base + off) as usize;
                 if write {
                     self.analysis.ctx_writes.push((a, a + size));
-                } else {
-                    self.analysis.ctx_reads.push((a, a + size));
                 }
                 AccessFact::Ctx { off: a }
             }
             RType::StackPtr { off: base } => AccessFact::Stack {
                 off: (base + off + STACK_SIZE as i64) as usize,
             },
-            RType::MapValue { .. } => {
-                if write {
-                    // Writing map state makes the verdict depend on
-                    // invocation history: not memoizable.
-                    self.analysis.pure = false;
-                }
-                AccessFact::MapValue
-            }
+            RType::MapValue { .. } => AccessFact::MapValue,
             _ => return,
         };
         self.analysis.access[pc] = Some(fact);
-    }
-
-    /// Records a ctx read performed *through a helper argument* (the
-    /// helper dereferences the pointer on the program's behalf).
-    fn record_helper_ctx_read(&mut self, st: &State, reg: Reg, size: usize) {
-        if let RType::CtxPtr { off } = st.regs[reg as usize] {
-            let a = off as usize;
-            self.analysis.ctx_reads.push((a, a + size));
-        }
     }
 
     fn mark_stack_written(st: &mut State, base: i64, off: i64, size: usize) {
@@ -703,9 +674,6 @@ impl<'a> Verifier<'a> {
                     return Err(VerifyError::BadMapRef { pc });
                 }
                 self.check_readable(pc, st, R2, 4)?;
-                // Map reads stay pure: the memo cache is invalidated on
-                // external map updates, so only the key bytes matter.
-                self.record_helper_ctx_read(st, R2, 4);
                 RType::MaybeNullMapValue { map: map as u32 }
             }
             MAP_UPDATE => {
@@ -716,20 +684,11 @@ impl<'a> Verifier<'a> {
                 let value_size = self.maps[map].value_size;
                 self.check_readable(pc, st, R2, 4)?;
                 self.check_readable(pc, st, R3, value_size)?;
-                self.record_helper_ctx_read(st, R2, 4);
-                self.record_helper_ctx_read(st, R3, value_size);
-                self.analysis.pure = false;
                 RType::scalar()
             }
-            KTIME_NS | PRANDOM_U32 => {
-                self.analysis.pure = false;
-                RType::scalar()
-            }
+            KTIME_NS | PRANDOM_U32 => RType::scalar(),
             TRACE => {
                 self.check_init(pc, st, R1)?;
-                // Trace output is an observable side effect a cache hit
-                // would silently drop.
-                self.analysis.pure = false;
                 RType::scalar()
             }
             _ => return Err(VerifyError::BadHelperCall { pc }),

@@ -29,7 +29,6 @@ METRICS = [
     ("BENCH_sharding.json", "results[1].iops", "higher", 0.15),
     ("BENCH_sharding.json", "results[1].p99_ns", "lower", 0.15),
     ("BENCH_classifier.json", "compiled_vs_interp", "higher", 0.25),
-    ("BENCH_classifier.json", "cache_hit_vs_interp", "higher", 0.25),
     ("BENCH_insight.json", "coverage.fraction", "higher", 0.05),
     ("BENCH_insight.json", "assembly.events_per_sec", "higher", 0.50),
     ("BENCH_insight.json", "watchdog_overhead.fraction", "lower", 1.00),
