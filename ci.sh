@@ -7,6 +7,12 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> benchmark package (build + the --quick suite against these crates)"
+# benchmark/ is its own frozen package with path deps on crates/*: a
+# crate-API change that breaks it fails here, in the first minute, not as
+# a failed benchmark run after the long stages below.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -16,12 +22,9 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> benchmark package (build + the --quick suite against these crates)"
-# benchmark/ is its own package with path deps on crates/*: a crate-API
-# change that breaks it fails here, not as a failed benchmark run.
-cargo test --offline --manifest-path benchmark/Cargo.toml
-
 echo "==> chaos sweep (seeded fault plans, 1 and 4 shards)"
+# The servicing suite's doorbell re-bind cases (a VM detached with queued
+# commands, pushes between snapshot and restore) take the swept seed too.
 for seed in 1 4242 31337; do
   echo "    CHAOS_SEED=$seed"
   CHAOS_SEED=$seed cargo test -q --test chaos

@@ -17,14 +17,74 @@
 //! * coalescing on a device-bound hot set wins >= 1.2x guest IOPS;
 //! * coalescing cuts device-queue occupancy (served commands) by
 //!   >= 20% at equal offered load;
-//! * weight-normalized Jain fairness >= 0.5 across the active fleet.
+//! * weight-normalized Jain fairness >= 0.5 across the active fleet;
+//! * an idle `Router::poll` of a shard with 1024 bound queue groups costs
+//!   at most 4x one with 16 (wall clock): the doorbell page makes an idle
+//!   poll one load per 64 groups, where a scan of every ring was linear
+//!   (about 64x).
 //!
 //! ```sh
 //! cargo run --release -p nvmetro-bench --bin fleet_report
 //! ```
 
-use nvmetro_sim::{MS, SEC};
+use nvmetro_core::classify::Classifier;
+use nvmetro_core::engine::{EngineVm, QueueBinding, RouterBuilder};
+use nvmetro_core::{passthrough_program, Partition};
+use nvmetro_fleet::{CoalesceConfig, FleetConfig};
+use nvmetro_mem::GuestMemory;
+use nvmetro_nvme::{CqPair, SqPair};
+use nvmetro_sim::{Actor, MS, SEC};
 use nvmetro_workloads::{run_fleet, FleetOptions, FleetReport};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Host nanoseconds of one idle `Router::poll` on a fleet-mode shard with
+/// `groups` single-queue VMs bound and nothing queued anywhere: the best
+/// of five timed passes, so a preempted pass does not set the number.
+fn idle_poll_ns(groups: usize) -> f64 {
+    const POLLS: u64 = 200_000;
+    let mem = Arc::new(GuestMemory::new(1 << 20));
+    let mut builder = RouterBuilder::new("router")
+        .table_capacity(4096)
+        .fleet(FleetConfig::default())
+        .coalesce(CoalesceConfig::default());
+    // The far ends stay alive (and silent) for the length of the timing.
+    let mut far_ends = Vec::with_capacity(groups);
+    for vm in 0..groups {
+        let (vsq_p, vsq_c) = SqPair::new(32);
+        let (vcq_p, vcq_c) = CqPair::new(32);
+        let (hsq_p, hsq_c) = SqPair::new(32);
+        let (hcq_p, hcq_c) = CqPair::new(32);
+        builder = builder.vm(EngineVm {
+            vm_id: vm as u32,
+            mem: mem.clone(),
+            partition: Partition::whole(1 << 20),
+            queues: vec![QueueBinding {
+                vsqs: vec![vsq_c],
+                vcqs: vec![vcq_p],
+                hsq: hsq_p,
+                hcq: hcq_c,
+                kernel: None,
+                notify: None,
+                classifier: Classifier::Bpf(passthrough_program()),
+            }],
+        });
+        far_ends.push((vsq_p, vcq_c, hsq_c, hcq_p));
+    }
+    let mut shard = builder.build().into_shards().pop().expect("one shard");
+    let mut now = 0;
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let started = Instant::now();
+        for _ in 0..POLLS {
+            now += 1;
+            std::hint::black_box(shard.poll(std::hint::black_box(now)));
+        }
+        best = best.min(started.elapsed().as_nanos() as f64 / POLLS as f64);
+    }
+    assert_eq!(shard.stats().accepted, 0, "the shard was meant to idle");
+    best
+}
 
 fn arm_json(label: &str, r: &FleetReport) -> String {
     format!(
@@ -110,9 +170,17 @@ fn main() {
         fleet.exactly_once
     );
 
+    // Wall clock: what an idle poll costs as bound queue groups grow.
+    let idle = [16, 256, 1024].map(idle_poll_ns);
+    let idle_ratio = idle[2] / idle[0];
+    println!(
+        "idle poll: {:.1} ns @16 groups, {:.1} ns @256, {:.1} ns @1024 ({idle_ratio:.2}x)",
+        idle[0], idle[1], idle[2]
+    );
+
     let json = format!
 (
-        "{{\n  \"duration_ms\": {},\n  \"offered_iops\": {:.0},\n  \"results\": [\n{},\n{},\n{}\n  ],\n  \"coalesce_iops_win\": {:.3},\n  \"device_occupancy_cut\": {:.3},\n  \"fairness_jain\": {:.4},\n  \"fleet_queue_groups\": {},\n  \"fleet_exactly_once\": {}\n}}\n",
+        "{{\n  \"duration_ms\": {},\n  \"offered_iops\": {:.0},\n  \"results\": [\n{},\n{},\n{}\n  ],\n  \"coalesce_iops_win\": {:.3},\n  \"device_occupancy_cut\": {:.3},\n  \"fairness_jain\": {:.4},\n  \"fleet_queue_groups\": {},\n  \"fleet_exactly_once\": {},\n  \"idle_poll\": {{\"clock\": \"wall\", \"unit\": \"ns\", \"groups_16\": {:.1}, \"groups_256\": {:.1}, \"groups_1024\": {:.1}, \"ratio_1024_to_16\": {:.2}}}\n}}\n",
         duration / MS,
         contended.total_iops,
         arm_json("coalesce_off", &off),
@@ -123,6 +191,10 @@ fn main() {
         fairness,
         fleet.tenants,
         fleet.exactly_once,
+        idle[0],
+        idle[1],
+        idle[2],
+        idle_ratio,
     );
     std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
     println!("{json}");
@@ -147,6 +219,10 @@ fn main() {
     assert!(
         fairness >= 0.5,
         "Jain fairness {fairness:.3} below the 0.5 bar"
+    );
+    assert!(
+        idle_ratio <= 4.0,
+        "idle poll at 1024 groups is {idle_ratio:.2}x the 16-group poll, above the 4x bar"
     );
     println!(
         "fleet report OK: {iops_win:.2}x IOPS win, {:.0}% occupancy cut, jain {fairness:.3}",

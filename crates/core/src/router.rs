@@ -34,8 +34,8 @@ use nvmetro_fleet::{
 };
 use nvmetro_mem::GuestMemory;
 use nvmetro_nvme::{
-    CompletionEntry, CqConsumer, CqPair, CqProducer, SqConsumer, SqPair, SqProducer, Status,
-    SubmissionEntry,
+    BellPage, CompletionEntry, CqConsumer, CqPair, CqProducer, SqConsumer, SqPair, SqProducer,
+    Status, SubmissionEntry,
 };
 use nvmetro_sim::cost::CostModel;
 use nvmetro_sim::{Actor, CpuMode, Ns, Progress, Station, MS, US};
@@ -198,6 +198,24 @@ type Timer = (Ns, u16, u64, u16, u8);
 /// A pending re-dispatch: at `.0`, replay request `(tag, seq)` of VM `.3`.
 type RetryEntry = (Ns, u16, u64, u16);
 
+/// Sets bit `i` of a slot bitmap shaped like the shard's doorbell page.
+fn set_bit(map: &mut [u64], i: usize) {
+    map[i / 64] |= 1 << (i % 64);
+}
+
+/// The lowest set bit of `map` at or above `from`.
+fn next_set(map: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut bits = *map.get(w)? & (!0 << (from % 64));
+    loop {
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
+        }
+        w += 1;
+        bits = *map.get(w)?;
+    }
+}
+
 /// Default per-queue batch: entries drained per SQ visit and the unit of
 /// CQ doorbell coalescing (the paper's "process multiple requests per
 /// poll" discipline).
@@ -225,6 +243,23 @@ pub struct Router {
     timers: BinaryHeap<Reverse<Timer>>,
     retryq: BinaryHeap<Reverse<RetryEntry>>,
     next_seq: u64,
+    /// The shard's doorbell page: bit `slot` is rung by the producers of
+    /// that VM slot's VSQs, HCQ and NCQ, so a poll visits only the slots
+    /// that rang. Between polls a slot with a non-empty HCQ or NCQ, or a
+    /// non-empty VSQ behind open admission gates, always has its bit set.
+    bells: BellPage,
+    /// Slots visited on every poll whatever their bell says (a bitmap
+    /// shaped like `bells`): a kernel path has no ring to ring from, and
+    /// queue groups sharing a scheduler slot end each other's DRR visits.
+    always: Vec<u64>,
+    /// The visit set of the poll in progress (scratch, shaped like `bells`).
+    rung: Vec<u64>,
+    /// `(slot, path)` per command pushed to an HSQ / NSQ and not yet rung:
+    /// a poll rings each such queue once when its work is applied, next to
+    /// the coalesced VCQ flush, so a burst costs its consumer one bell.
+    unrung: Vec<(usize, u8)>,
+    /// Slots bound with a kernel path, in bind order.
+    kernel_slots: Vec<usize>,
     /// Fleet-mode per-tenant admission scheduler (None = FIFO drain).
     fleet: Option<TenantScheduler>,
     /// VM-binding index → scheduler slot, parallel to `vms`.
@@ -263,6 +298,9 @@ pub struct Router {
     /// last VSQ drain that produced work and the EWMA of the gaps between
     /// them. The hottest queue's EWMA feeds the governor's park decision.
     arrivals: Vec<(Ns, Ns)>,
+    /// The smallest live EWMA in `arrivals`; `None` when a gap changed
+    /// since it was computed.
+    min_gap: Option<Option<Ns>>,
     /// Wakeup latency owed to the first station push after a park exit.
     pending_wake_debt: Ns,
     /// Extra cost per reaped device completion when this shard is pinned
@@ -300,6 +338,11 @@ impl Router {
             timers: BinaryHeap::new(),
             retryq: BinaryHeap::new(),
             next_seq: 0,
+            bells: BellPage::new(),
+            always: Vec::new(),
+            rung: Vec::new(),
+            unrung: Vec::new(),
+            kernel_slots: Vec::new(),
             fleet: None,
             fleet_slots: Vec::new(),
             drain_cursor: 0,
@@ -313,6 +356,7 @@ impl Router {
             governor: None,
             tuner: None,
             arrivals: Vec::new(),
+            min_gap: Some(None),
             pending_wake_debt: 0,
             completion_penalty: 0,
             #[cfg(debug_assertions)]
@@ -427,18 +471,25 @@ impl Router {
     /// undrained VSQ entries. This is the doorbell a parked shard must
     /// not sleep through.
     fn doorbell_pending(&self) -> bool {
-        for (i, vm) in self.vms.iter().enumerate() {
-            if !self.vm_active[i] {
-                continue;
-            }
-            if !vm.hcq.is_empty() {
-                return true;
-            }
-            if vm.notify.as_ref().is_some_and(|n| !n.ncq.is_empty()) {
-                return true;
-            }
-            if self.admitting && self.vm_admitting[i] && vm.vsqs.iter().any(|q| !q.is_empty()) {
-                return true;
+        // Only a slot whose bell is set can hold any of this (see `bells`).
+        for w in 0..self.bells.words() {
+            let mut bits = self.bells.peek(w);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let vm = &self.vms[i];
+                if !self.vm_active[i] {
+                    continue;
+                }
+                if !vm.hcq.is_empty() {
+                    return true;
+                }
+                if vm.notify.as_ref().is_some_and(|n| !n.ncq.is_empty()) {
+                    return true;
+                }
+                if self.admitting && self.vm_admitting[i] && vm.vsqs.iter().any(|q| !q.is_empty()) {
+                    return true;
+                }
             }
         }
         false
@@ -456,19 +507,26 @@ impl Router {
         let g = now.saturating_sub(*last);
         if *last != 0 && g > 0 {
             *gap = if *gap == 0 { g } else { (*gap * 7 + g) / 8 };
+            self.min_gap = None;
         }
         *last = now;
     }
 
     /// The hottest live queue's arrival-gap EWMA (None before any queue
-    /// has two observations).
-    fn min_arrival_gap(&self) -> Option<Ns> {
-        self.arrivals
+    /// has two observations). Walks the slots only after a gap changed.
+    fn min_arrival_gap(&mut self) -> Option<Ns> {
+        if let Some(min) = self.min_gap {
+            return min;
+        }
+        let min = self
+            .arrivals
             .iter()
             .zip(&self.vm_active)
             .filter(|&(&(_, gap), &active)| active && gap > 0)
             .map(|(&(_, gap), _)| gap)
-            .min()
+            .min();
+        self.min_gap = Some(min);
+        min
     }
 
     /// Turns the fleet scheduler on: the VSQ drain switches from
@@ -479,8 +537,26 @@ impl Router {
     /// hostage.
     pub(crate) fn configure_fleet(&mut self, cfg: &FleetConfig) {
         let mut sched = TenantScheduler::new(cfg);
-        self.fleet_slots = self.vms.iter().map(|v| sched.slot(v.vm_id)).collect();
+        self.fleet_slots.clear();
+        for vm in 0..self.vms.len() {
+            let slot = sched.slot(self.vms[vm].vm_id);
+            self.note_fleet_slot(vm, slot);
+        }
         self.fleet = Some(sched);
+    }
+
+    /// Records that VM binding `vm` (the next one) is scheduled through
+    /// scheduler slot `slot`. Bindings that share a scheduler slot (queue
+    /// groups of one tenant on one shard) are visited on every poll: one's
+    /// `end_visit` can forfeit the deficit the other earned, so the visits
+    /// one sees depend on the other.
+    fn note_fleet_slot(&mut self, vm: usize, slot: usize) {
+        debug_assert_eq!(vm, self.fleet_slots.len());
+        if let Some(first) = self.fleet_slots.iter().position(|&s| s == slot) {
+            set_bit(&mut self.always, first);
+            set_bit(&mut self.always, vm);
+        }
+        self.fleet_slots.push(slot);
     }
 
     /// Turns cross-VM read coalescing on (configured via
@@ -507,8 +583,28 @@ impl Router {
 
     /// Binds a VM; returns its index.
     pub fn bind_vm(&mut self, binding: VmBinding) -> usize {
+        let slot = self.vms.len();
+        // Every ring this shard consumes for the slot rings one bell.
+        // Binding rings it at once for a ring that arrives non-empty (a VM
+        // detached with commands queued, a restore), so the first poll
+        // visits the slot.
+        let bell = self.bells.bell(slot);
+        self.always.resize(self.bells.words(), 0);
+        self.rung.resize(self.bells.words(), 0);
+        for vsq in &binding.vsqs {
+            vsq.bind_bell(&bell);
+        }
+        binding.hcq.bind_bell(&bell);
+        if let Some(n) = &binding.notify {
+            n.ncq.bind_bell(&bell);
+        }
+        if binding.kernel.is_some() {
+            set_bit(&mut self.always, slot);
+            self.kernel_slots.push(slot);
+        }
         if let Some(f) = self.fleet.as_mut() {
-            self.fleet_slots.push(f.slot(binding.vm_id));
+            let fleet_slot = f.slot(binding.vm_id);
+            self.note_fleet_slot(slot, fleet_slot);
         }
         self.vms.push(binding);
         let cfg = self.recovery.unwrap_or_default();
@@ -539,120 +635,55 @@ impl Router {
         &mut self.vms[vm].classifier
     }
 
+    /// Queues one path completion on the station.
+    fn push_path_done(&mut self, vm: usize, path: u8, tag: u16, status: Status, now: Ns) {
+        let cost = self.completion_cost(tag, path) + self.take_wake_debt();
+        self.vm_work[vm] += 1;
+        self.station.push(
+            Work::PathDone {
+                vm,
+                path,
+                tag,
+                status,
+            },
+            cost,
+            now,
+        );
+    }
+
+    /// Queues one fetched guest command on the station.
+    fn push_ingress(&mut self, vm: usize, vsq: usize, cmd: SubmissionEntry, now: Ns) {
+        let cost = self.cost.router_cmd + self.cost.classifier_run + self.take_wake_debt();
+        self.vm_work[vm] += 1;
+        self.station.push(
+            Work::Ingress {
+                vm,
+                vsq: vsq as u16,
+                cmd,
+            },
+            cost,
+            now,
+        );
+    }
+
     fn ingest(&mut self, now: Ns) -> bool {
+        // The poll's visit set: the bells that rang since the last poll,
+        // plus the slots that have no bell. An idle poll is one load per
+        // page word.
+        let rang = self.bells.any() || self.always.iter().any(|&w| w != 0);
         let mut any = false;
-        let batch = self.batch;
-        for vm in 0..self.vms.len() {
-            if !self.vm_active[vm] {
-                continue; // detached tombstone: nothing to drain
+        if rang {
+            for w in 0..self.bells.words() {
+                self.rung[w] = self.bells.take(w) | self.always[w];
             }
-            // Fast-path completions (bounded: leftovers keep the poll Busy,
-            // so the next visit continues where this one stopped).
-            for _ in 0..batch {
-                let Some(cqe) = self.vms[vm].hcq.pop() else {
-                    break;
-                };
-                let tag = cqe.cid;
-                let cost = self.completion_cost(tag, path_bits::HQ) + self.take_wake_debt();
-                self.vm_work[vm] += 1;
-                self.station.push(
-                    Work::PathDone {
-                        vm,
-                        path: path_bits::HQ,
-                        tag,
-                        status: cqe.status(),
-                    },
-                    cost,
-                    now,
-                );
-                any = true;
-            }
-            // Kernel-path completions.
-            if let Some(kernel) = self.vms[vm].kernel.as_mut() {
-                self.kernel_out.clear();
-                kernel.poll(now, &mut self.kernel_out);
-                let done: Vec<(u16, Status)> = self.kernel_out.drain(..).collect();
-                for (tag, status) in done {
-                    let cost = self.completion_cost(tag, path_bits::KQ) + self.take_wake_debt();
-                    self.vm_work[vm] += 1;
-                    self.station.push(
-                        Work::PathDone {
-                            vm,
-                            path: path_bits::KQ,
-                            tag,
-                            status,
-                        },
-                        cost,
-                        now,
-                    );
-                    any = true;
-                }
-            }
-            // Notify-path completions.
-            for _ in 0..batch {
-                let Some(cqe) = self.vms[vm].notify.as_ref().and_then(|n| n.ncq.pop()) else {
-                    break;
-                };
-                let tag = cqe.cid;
-                let cost = self.completion_cost(tag, path_bits::NQ) + self.take_wake_debt();
-                self.vm_work[vm] += 1;
-                self.station.push(
-                    Work::PathDone {
-                        vm,
-                        path: path_bits::NQ,
-                        tag,
-                        status: cqe.status(),
-                    },
-                    cost,
-                    now,
-                );
-                any = true;
-            }
-            // New guest commands (after completions: frees table slots).
-            // Each SQ visit drains at most `batch` entries, so one flooding
-            // queue cannot starve its neighbours: the round-robin moves on
-            // and returns once every other queue has had its turn. In
-            // fleet mode admission is the scheduler's call instead — see
-            // `drain_vsqs_scheduled`. Quiesce (shard-wide or per-VM) stops
-            // exactly here: completions above keep draining.
-            if self.fleet.is_none() && self.admitting && self.vm_admitting[vm] {
-                let mut vm_drained = 0u64;
-                for vsq in 0..self.vms[vm].vsqs.len() {
-                    let mut drained = 0u64;
-                    for _ in 0..batch {
-                        let Some((cmd, _)) = self.vms[vm].vsqs[vsq].pop() else {
-                            break;
-                        };
-                        let cost =
-                            self.cost.router_cmd + self.cost.classifier_run + self.take_wake_debt();
-                        self.vm_work[vm] += 1;
-                        self.station.push(
-                            Work::Ingress {
-                                vm,
-                                vsq: vsq as u16,
-                                cmd,
-                            },
-                            cost,
-                            now,
-                        );
-                        drained += 1;
-                        any = true;
-                    }
-                    if drained > 0 {
-                        self.telemetry.depth(Depth::SqBurst, drained);
-                        if let Some(t) = &mut self.tuner {
-                            t.record_visit(drained, batch);
-                        }
-                        vm_drained += drained;
-                    }
-                }
-                if vm_drained > 0 {
-                    self.note_arrival(vm, now);
-                }
+            let mut from = 0;
+            while let Some(vm) = next_set(&self.rung, from) {
+                from = vm + 1;
+                any |= self.ingest_slot(vm, now);
             }
         }
         if self.fleet.is_some() && self.admitting {
-            any |= self.drain_vsqs_scheduled(now);
+            any |= self.drain_vsqs_scheduled(now, rang);
         }
         if any && self.telemetry.enabled() {
             self.telemetry
@@ -661,94 +692,196 @@ impl Router {
         any
     }
 
-    /// Fleet-mode VSQ drain: one DRR round over all tenants, visit order
-    /// rotating round to round. Admission of each command is gated by the
-    /// tenant's deficit (weighted share of the round) and token bucket
-    /// (rate + burst, scaled by the governor's throttle knob); a denial
-    /// skips the tenant's remaining queues for this round. Deferred
-    /// backlog arms `sched_recheck` so `next_event` keeps virtual time
-    /// moving even when every other actor has gone quiet.
-    fn drain_vsqs_scheduled(&mut self, now: Ns) -> bool {
-        let n = self.vms.len();
-        if n == 0 {
-            return false;
+    /// One visited slot's share of `ingest`: completions of every path,
+    /// then (outside fleet mode) its new guest commands.
+    fn ingest_slot(&mut self, vm: usize, now: Ns) -> bool {
+        if !self.vm_active[vm] {
+            return false; // detached tombstone: nothing to drain
         }
         let batch = self.batch;
         let mut any = false;
-        let start = self.drain_cursor % n;
-        self.drain_cursor = self.drain_cursor.wrapping_add(1);
-        self.sched_recheck = None;
-        let mut sched = self.fleet.take().expect("fleet mode");
-        sched.new_round();
-        for k in 0..n {
-            let vm = (start + k) % n;
-            if !self.vm_active[vm] || !self.vm_admitting[vm] {
-                continue; // detached or individually quiesced tenant
+        // A ring left non-empty keeps its bell; a drain loop that ran its
+        // full bound cannot tell, so it keeps it too.
+        let mut leftover = false;
+        // Fast-path completions (bounded: leftovers keep the poll Busy,
+        // so the next visit continues where this one stopped).
+        let mut reaped = 0;
+        while reaped < batch {
+            let Some(cqe) = self.vms[vm].hcq.pop() else {
+                break;
+            };
+            self.push_path_done(vm, path_bits::HQ, cqe.cid, cqe.status(), now);
+            reaped += 1;
+        }
+        any |= reaped > 0;
+        leftover |= reaped == batch;
+        // Kernel-path completions.
+        if let Some(kernel) = self.vms[vm].kernel.as_mut() {
+            let mut done = std::mem::take(&mut self.kernel_out);
+            done.clear();
+            kernel.poll(now, &mut done);
+            for &(tag, status) in &done {
+                self.push_path_done(vm, path_bits::KQ, tag, status, now);
             }
-            let slot = self.fleet_slots[vm];
-            let mut served = 0u64;
-            let mut denied = false;
-            'vm_queues: for vsq in 0..self.vms[vm].vsqs.len() {
+            any |= !done.is_empty();
+            self.kernel_out = done;
+        }
+        // Notify-path completions.
+        if self.vms[vm].notify.is_some() {
+            let mut reaped = 0;
+            while reaped < batch {
+                let Some(cqe) = self.vms[vm].notify.as_ref().and_then(|n| n.ncq.pop()) else {
+                    break;
+                };
+                self.push_path_done(vm, path_bits::NQ, cqe.cid, cqe.status(), now);
+                reaped += 1;
+            }
+            any |= reaped > 0;
+            leftover |= reaped == batch;
+        }
+        // New guest commands (after completions: frees table slots). Each
+        // SQ visit drains at most `batch` entries, so one flooding queue
+        // cannot starve its neighbours: the round-robin moves on and
+        // returns once every other queue has had its turn. In fleet mode
+        // admission is the scheduler's call instead — see
+        // `drain_vsqs_scheduled`. Quiesce (shard-wide or per-VM) stops
+        // exactly here: completions above keep draining, and reopening
+        // the gate rings the bell for whatever queued up behind it.
+        if self.fleet.is_none() && self.admitting && self.vm_admitting[vm] {
+            let mut vm_drained = 0u64;
+            for vsq in 0..self.vms[vm].vsqs.len() {
                 let mut drained = 0u64;
-                for _ in 0..batch {
-                    if self.vms[vm].vsqs[vsq].is_empty() {
+                while drained < batch as u64 {
+                    let Some((cmd, _)) = self.vms[vm].vsqs[vsq].pop() else {
                         break;
-                    }
-                    match sched.admit(slot, now) {
-                        Admit::Granted => {}
-                        Admit::Throttled => {
-                            self.stats.sched_throttled += 1;
-                            self.telemetry.count(Metric::ThrottleApplied);
-                            let at = sched.next_token_at(slot, now);
-                            self.sched_recheck = Some(self.sched_recheck.map_or(at, |r| r.min(at)));
-                            denied = true;
-                            break 'vm_queues;
-                        }
-                        Admit::Exhausted => {
-                            self.stats.sched_preemptions += 1;
-                            self.telemetry.count(Metric::SchedulerPreemptions);
-                            // The next DRR round happens on the next poll;
-                            // schedule one in case the rig is otherwise
-                            // idle.
-                            let at = now + US;
-                            self.sched_recheck = Some(self.sched_recheck.map_or(at, |r| r.min(at)));
-                            denied = true;
-                            break 'vm_queues;
-                        }
-                    }
-                    let (cmd, _) = self.vms[vm].vsqs[vsq].pop().expect("checked non-empty");
-                    let cost =
-                        self.cost.router_cmd + self.cost.classifier_run + self.take_wake_debt();
-                    self.vm_work[vm] += 1;
-                    self.station.push(
-                        Work::Ingress {
-                            vm,
-                            vsq: vsq as u16,
-                            cmd,
-                        },
-                        cost,
-                        now,
-                    );
+                    };
+                    self.push_ingress(vm, vsq, cmd, now);
                     drained += 1;
-                    served += 1;
-                    any = true;
                 }
+                leftover |= drained == batch as u64;
                 if drained > 0 {
                     self.telemetry.depth(Depth::SqBurst, drained);
                     if let Some(t) = &mut self.tuner {
                         t.record_visit(drained, batch);
                     }
+                    vm_drained += drained;
                 }
             }
-            let backlog_empty = !denied && self.vms[vm].vsqs.iter().all(|q| q.is_empty());
-            sched.end_visit(slot, backlog_empty);
-            if served > 0 {
-                self.telemetry.depth(Depth::TenantServed, served);
+            if vm_drained > 0 {
+                any = true;
                 self.note_arrival(vm, now);
             }
         }
+        if leftover {
+            self.bells.ring(vm);
+        }
+        any
+    }
+
+    /// Fleet-mode VSQ drain: one DRR round over the tenants of this poll's
+    /// visit set, visit order rotating round to round. Admission of each
+    /// command is gated by the tenant's deficit (weighted share of the
+    /// round) and token bucket (rate + burst, scaled by the governor's
+    /// throttle knob); a denial skips the tenant's remaining queues for
+    /// this round. Deferred backlog arms `sched_recheck` so `next_event`
+    /// keeps virtual time moving even when every other actor has gone
+    /// quiet.
+    ///
+    /// A tenant outside the visit set had empty queues at its last visit,
+    /// which forfeited its deficit, and quantum grants are applied by
+    /// `admit`: visiting it would change nothing in the scheduler.
+    fn drain_vsqs_scheduled(&mut self, now: Ns, rang: bool) -> bool {
+        let n = self.vms.len();
+        if n == 0 {
+            return false;
+        }
+        // The round and the cursor advance once per poll, visits or not.
+        let start = self.drain_cursor % n;
+        self.drain_cursor = self.drain_cursor.wrapping_add(1);
+        self.sched_recheck = None;
+        self.fleet.as_mut().expect("fleet mode").new_round();
+        if !rang {
+            return false;
+        }
+        let mut any = false;
+        let mut sched = self.fleet.take().expect("fleet mode");
+        // Ascending from the cursor, then the wrap.
+        let mut from = start;
+        while let Some(vm) = next_set(&self.rung, from) {
+            from = vm + 1;
+            any |= self.drain_tenant(&mut sched, vm, now);
+        }
+        from = 0;
+        while let Some(vm) = next_set(&self.rung, from).filter(|&vm| vm < start) {
+            from = vm + 1;
+            any |= self.drain_tenant(&mut sched, vm, now);
+        }
         self.fleet = Some(sched);
         any
+    }
+
+    /// One tenant's visit of the DRR round.
+    fn drain_tenant(&mut self, sched: &mut TenantScheduler, vm: usize, now: Ns) -> bool {
+        if !self.vm_active[vm] || !self.vm_admitting[vm] {
+            return false; // detached or individually quiesced tenant
+        }
+        let batch = self.batch as u64;
+        let slot = self.fleet_slots[vm];
+        let mut served = 0u64;
+        let mut denied = false;
+        let mut bound_hit = false;
+        'vm_queues: for vsq in 0..self.vms[vm].vsqs.len() {
+            let mut drained = 0u64;
+            while drained < batch {
+                if self.vms[vm].vsqs[vsq].is_empty() {
+                    break;
+                }
+                let recheck = match sched.admit(slot, now) {
+                    Admit::Granted => None,
+                    Admit::Throttled => {
+                        self.stats.sched_throttled += 1;
+                        self.telemetry.count(Metric::ThrottleApplied);
+                        Some(sched.next_token_at(slot, now))
+                    }
+                    Admit::Exhausted => {
+                        self.stats.sched_preemptions += 1;
+                        self.telemetry.count(Metric::SchedulerPreemptions);
+                        // The next DRR round happens on the next poll;
+                        // schedule one in case the rig is otherwise idle.
+                        Some(now + US)
+                    }
+                };
+                if let Some(at) = recheck {
+                    self.sched_recheck = Some(self.sched_recheck.map_or(at, |r| r.min(at)));
+                    denied = true;
+                    break 'vm_queues;
+                }
+                let (cmd, _) = self.vms[vm].vsqs[vsq].pop().expect("checked non-empty");
+                self.push_ingress(vm, vsq, cmd, now);
+                drained += 1;
+                served += 1;
+            }
+            bound_hit |= drained == batch;
+            if drained > 0 {
+                self.telemetry.depth(Depth::SqBurst, drained);
+                if let Some(t) = &mut self.tuner {
+                    t.record_visit(drained, self.batch);
+                }
+            }
+        }
+        // Every queue loop that stopped short of the bound stopped on an
+        // empty queue; only a loop that ran the bound has to look again.
+        let backlog_empty =
+            !denied && (!bound_hit || self.vms[vm].vsqs.iter().all(|q| q.is_empty()));
+        sched.end_visit(slot, backlog_empty);
+        if !backlog_empty {
+            self.bells.ring(vm);
+        }
+        if served > 0 {
+            self.telemetry.depth(Depth::TenantServed, served);
+            self.note_arrival(vm, now);
+        }
+        served > 0
     }
 
     fn completion_cost(&self, tag: u16, path: u8) -> Ns {
@@ -1202,10 +1335,11 @@ impl Router {
                 Stage::Dispatched,
                 PathKind::Fast,
             );
-            if self.vms[vm].hsq.push(fwd).is_err() {
+            if self.vms[vm].hsq.push_quiet(fwd).is_err() {
                 self.path_unavailable(vm, tag, path_bits::HQ, t);
                 return;
             }
+            self.unrung.push((vm, path_bits::HQ));
         }
         if send & path_bits::KQ != 0 {
             self.table.get_mut(tag).expect("tracked").pending |= path_bits::KQ;
@@ -1242,10 +1376,12 @@ impl Router {
                 PathKind::Notify,
             );
             let pushed = match self.vms[vm].notify.as_mut() {
-                Some(n) => n.nsq.push(fwd).is_ok(),
+                Some(n) => n.nsq.push_quiet(fwd).is_ok(),
                 None => false,
             };
-            if !pushed {
+            if pushed {
+                self.unrung.push((vm, path_bits::NQ));
+            } else {
                 self.path_unavailable(vm, tag, path_bits::NQ, t);
             }
         }
@@ -1266,6 +1402,21 @@ impl Router {
                         )));
                     }
                 }
+            }
+        }
+    }
+
+    /// Rings each HSQ and NSQ that `dispatch` pushed to since the last
+    /// call, once: a poll's worth of commands costs the device's (or the
+    /// UIF's) doorbell page one RMW per queue, not one per command.
+    fn ring_sent(&mut self) {
+        self.unrung.sort_unstable();
+        self.unrung.dedup();
+        for (vm, path) in self.unrung.drain(..) {
+            let vm = &self.vms[vm];
+            match (path, &vm.notify) {
+                (path_bits::NQ, Some(n)) => n.nsq.ring(),
+                _ => vm.hsq.ring(),
             }
         }
     }
@@ -1685,6 +1836,12 @@ impl Router {
     /// retries — the quiesce protocol's "stop admitting, keep converging".
     pub fn set_admitting(&mut self, on: bool) {
         self.admitting = on;
+        if on {
+            // Polls behind the closed gate took VSQ bells without draining.
+            for slot in 0..self.vms.len() {
+                self.bells.ring(slot);
+            }
+        }
     }
 
     /// Whether the shard-wide admission gate is open.
@@ -1696,6 +1853,10 @@ impl Router {
     /// without touching anyone else's queues).
     pub(crate) fn set_vm_admitting(&mut self, slot: usize, on: bool) {
         self.vm_admitting[slot] = on;
+        if on {
+            // As in `set_admitting`, for one slot.
+            self.bells.ring(slot);
+        }
     }
 
     /// In-flight requests that still owe their guest an answer
@@ -1754,6 +1915,7 @@ impl Router {
         while let Some((work, t)) = self.station.pop_done_timed(Ns::MAX) {
             self.apply(work, t);
         }
+        self.ring_sent();
         self.flush_cq_batch();
         let entries: Vec<(usize, u16, RequestState)> = self
             .table
@@ -1918,7 +2080,11 @@ impl Router {
                 state.dispatch_wc = wc;
                 self.retryq.push(Reverse((at, tag, seq, slot as u16)));
             }
-            _ => self.dispatch(slot, tag, send, hooks, wc, now),
+            _ => {
+                self.dispatch(slot, tag, send, hooks, wc, now);
+                // Outside a poll: the device must hear of it now.
+                self.ring_sent();
+            }
         }
     }
 
@@ -1945,6 +2111,11 @@ impl Router {
     pub(crate) fn detach_slot(&mut self, slot: usize) -> VmBinding {
         self.vm_active[slot] = false;
         self.vm_admitting[slot] = false;
+        self.min_gap = None;
+        if self.vms[slot].kernel.is_some() {
+            self.kernel_slots.retain(|&s| s != slot);
+            self.always[slot / 64] &= !(1 << (slot % 64));
+        }
         // Parked completions for the departing binding are undeliverable
         // once its queues leave; drop them, counted.
         let before = self.vcq_retry.len();
@@ -2030,8 +2201,10 @@ impl Actor for Router {
             self.apply(work, t);
             progressed = true;
         }
-        // Doorbell coalescing: everything this poll completed goes out in
-        // one flush, one notify per touched (vm, vsq).
+        // Doorbell coalescing: everything this poll dispatched rings each
+        // touched HSQ/NSQ once, and everything it completed goes out in one
+        // flush, one notify per touched (vm, vsq).
+        self.ring_sent();
         progressed |= self.flush_cq_batch();
         // Governor epilogue: walk the Spin → Yield → Parked ladder (or
         // rewind to Spin on progress) and surface what changed.
@@ -2082,8 +2255,8 @@ impl Actor for Router {
 
     fn next_event(&self) -> Option<Ns> {
         let mut next = self.station.next_event();
-        for vm in &self.vms {
-            if let Some(k) = vm.kernel.as_ref().and_then(|k| k.next_event()) {
+        for &slot in &self.kernel_slots {
+            if let Some(k) = self.vms[slot].kernel.as_ref().and_then(|k| k.next_event()) {
                 next = Some(next.map_or(k, |n| n.min(k)));
             }
         }
@@ -2121,9 +2294,9 @@ impl Actor for Router {
 
     fn charged(&self) -> Ns {
         let kernel: Ns = self
-            .vms
+            .kernel_slots
             .iter()
-            .filter_map(|v| v.kernel.as_ref().map(|k| k.charged()))
+            .filter_map(|&s| self.vms[s].kernel.as_ref().map(|k| k.charged()))
             .sum();
         let governor: Ns = self.governor.as_ref().map_or(0, |g| g.burn());
         self.station.charged() + kernel + governor

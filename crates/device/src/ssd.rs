@@ -4,7 +4,7 @@ use crate::store::BlockStore;
 use nvmetro_faults::{CmdClass, FaultAction, FaultInjector, FaultPlan, FaultSite};
 use nvmetro_mem::{prp_segments, GuestMemory};
 use nvmetro_nvme::{
-    CompletionEntry, CqProducer, NvmOpcode, SqConsumer, Status, SubmissionEntry, LBA_SIZE,
+    BellPage, CompletionEntry, CqProducer, NvmOpcode, SqConsumer, Status, SubmissionEntry, LBA_SIZE,
 };
 use nvmetro_sim::cost::CostModel;
 use nvmetro_sim::{Actor, CpuMode, Ns, Progress, SimRng, US};
@@ -105,7 +105,8 @@ impl Ord for Pending {
     }
 }
 
-/// The simulated SSD. Registered queues are serviced on every poll; command
+/// The simulated SSD. A poll services the registered queues whose doorbell
+/// rang (one bit per queue in the device's [`BellPage`]); command
 /// completions are scheduled through a two-stage model: one of
 /// `ssd_channels` parallel NAND channels plus a shared bandwidth stage, so
 /// both QD-1 latency and saturated throughput match the calibration.
@@ -114,6 +115,10 @@ pub struct SimSsd {
     cfg: SsdConfig,
     store: Arc<BlockStore>,
     queues: Vec<DeviceQueue>,
+    /// Bit `q` is rung by the producer of `queues[q].sq`.
+    bells: BellPage,
+    /// Queues whose CQ `post_due` pushed to and has yet to ring.
+    cq_unrung: Vec<usize>,
     channels: Vec<Ns>,
     bw_until: Ns,
     pending: BinaryHeap<Reverse<Pending>>,
@@ -154,6 +159,8 @@ impl SimSsd {
             cfg,
             store,
             queues: Vec::new(),
+            bells: BellPage::new(),
+            cq_unrung: Vec::new(),
             channels,
             bw_until: 0,
             pending: BinaryHeap::new(),
@@ -189,8 +196,10 @@ impl SimSsd {
         mem: Arc<GuestMemory>,
         mode: CompletionMode,
     ) -> QueueHandle {
+        let index = self.queues.len();
+        sq.bind_bell(&self.bells.bell(index));
         self.queues.push(DeviceQueue { sq, cq, mem, mode });
-        QueueHandle((self.queues.len() - 1) as u16)
+        QueueHandle(index as u16)
     }
 
     /// Total I/O commands fully served.
@@ -472,8 +481,9 @@ impl SimSsd {
             }
             let Reverse(p) = self.pending.pop().expect("peeked");
             let q = &self.queues[p.queue];
-            match q.cq.push(p.cqe) {
+            match q.cq.push_quiet(p.cqe) {
                 Ok(()) => {
+                    self.cq_unrung.push(p.queue);
                     if q.mode == CompletionMode::Interrupt {
                         self.charged += self.cfg.cost.ssd_irq_cost;
                     }
@@ -495,7 +505,37 @@ impl SimSsd {
                 }
             }
         }
+        // One ring per CQ this pass posted to, however many CQEs it got.
+        if progressed {
+            self.cq_unrung.sort_unstable();
+            self.cq_unrung.dedup();
+            for queue in self.cq_unrung.drain(..) {
+                self.queues[queue].cq.ring();
+            }
+        }
         progressed
+    }
+
+    /// Services the submission queues whose doorbell rang, in queue order;
+    /// returns whether any command was fetched. Each queue is drained dry,
+    /// so none keeps its bell.
+    fn fetch_rung(&mut self, now: Ns) -> bool {
+        if !self.bells.any() {
+            return false;
+        }
+        let mut fetched = false;
+        for w in 0..self.bells.words() {
+            let mut bits = self.bells.take(w);
+            while bits != 0 {
+                let qi = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while let Some((cmd, _)) = self.queues[qi].sq.pop() {
+                    self.process_cmd(qi, cmd, now);
+                    fetched = true;
+                }
+            }
+        }
+        fetched
     }
 }
 
@@ -505,14 +545,9 @@ impl Actor for SimSsd {
     }
 
     fn poll(&mut self, now: Ns) -> Progress {
-        let mut progressed = self.post_due(now);
-        for qi in 0..self.queues.len() {
-            while let Some((cmd, _)) = self.queues[qi].sq.pop() {
-                self.process_cmd(qi, cmd, now);
-                progressed = true;
-            }
-        }
-        if progressed {
+        let posted = self.post_due(now);
+        let fetched = self.fetch_rung(now);
+        if posted || fetched {
             Progress::Busy
         } else {
             Progress::Idle

@@ -431,6 +431,116 @@ mod tests {
         assert!(v.throttled >= 3);
     }
 
+    /// The router's doorbell page lets a drain round skip tenants whose
+    /// queues were empty at their last visit. That must be invisible to
+    /// the scheduler: over random arrivals, weights, rate limits and
+    /// throttle changes, a drain that visits every tenant every round and
+    /// one that visits only tenants with a set bell (set by an arrival,
+    /// kept by a visit that left backlog) hold identical state after
+    /// every round.
+    #[test]
+    fn visiting_only_backlogged_tenants_leaves_identical_state() {
+        const TENANTS: usize = 24;
+        const BATCH: u32 = 6;
+        for seed in 0..40u64 {
+            let mut rng = nvmetro_sim::SimRng::new(0xbe11 + seed);
+            let specs: Vec<TenantSpec> = (0..TENANTS as u32)
+                .map(|tenant| TenantSpec {
+                    tenant,
+                    weight: 1 + rng.below(3) as u32,
+                    rate: rng.chance(0.4).then(|| RateLimit {
+                        iops: 20_000 + rng.below(200_000),
+                        burst: 1 + rng.below(6),
+                    }),
+                })
+                .collect();
+            let build = || {
+                let mut s = TenantScheduler::new(&FleetConfig {
+                    quantum: 2,
+                    tenants: specs.clone(),
+                    ..FleetConfig::default()
+                });
+                let slots: Vec<usize> = (0..TENANTS as u32).map(|t| s.slot(t)).collect();
+                (s, slots)
+            };
+            let (mut all, slots) = build();
+            let (mut rung_only, _) = build();
+            let mut queued = [[0u32; TENANTS]; 2];
+            let mut bell = [false; TENANTS];
+            let mut now: Ns = 0;
+            // One tenant's visit, as the router's drain makes it.
+            let visit = |s: &mut TenantScheduler, slot: usize, queued: &mut u32, now: Ns| {
+                let mut denied = false;
+                for _ in 0..BATCH {
+                    if *queued == 0 {
+                        break;
+                    }
+                    if s.admit(slot, now) != Admit::Granted {
+                        denied = true;
+                        break;
+                    }
+                    *queued -= 1;
+                }
+                let drained_empty = !denied && *queued == 0;
+                s.end_visit(slot, drained_empty);
+                drained_empty
+            };
+            for round in 0..400 {
+                now += 1 + rng.below(30_000);
+                for t in 0..TENANTS {
+                    // Mostly idle tenants, a few bursty ones.
+                    if rng.chance(if t < 4 { 0.6 } else { 0.05 }) {
+                        let n = 1 + rng.below(12) as u32;
+                        queued[0][t] += n;
+                        queued[1][t] += n;
+                        bell[t] = true;
+                    }
+                }
+                if round % 50 == 49 {
+                    // Both schedulers read their own governor's knob.
+                    let permille = 100 + rng.below(900) as u32;
+                    let t = rng.below(TENANTS as u64) as u32;
+                    all.governor().set_throttle(t, permille);
+                    rung_only.governor().set_throttle(t, permille);
+                }
+                let start = round % TENANTS;
+                all.new_round();
+                rung_only.new_round();
+                for k in 0..TENANTS {
+                    let t = (start + k) % TENANTS;
+                    visit(&mut all, slots[t], &mut queued[0][t], now);
+                    if std::mem::take(&mut bell[t]) {
+                        bell[t] = !visit(&mut rung_only, slots[t], &mut queued[1][t], now);
+                    }
+                }
+                assert_eq!(queued[0], queued[1], "seed {seed} round {round}");
+                let (a, b) = (all.view(), rung_only.view());
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(
+                        (
+                            x.tenant,
+                            x.deficit,
+                            x.tokens,
+                            x.admitted,
+                            x.throttled,
+                            x.preempted
+                        ),
+                        (
+                            y.tenant,
+                            y.deficit,
+                            y.tokens,
+                            y.admitted,
+                            y.throttled,
+                            y.preempted
+                        ),
+                        "seed {seed} round {round}"
+                    );
+                }
+            }
+            assert!(all.view().iter().any(|v| v.preempted > 0), "seed {seed}");
+        }
+    }
+
     #[test]
     fn burst_caps_idle_banking() {
         let mut s = sched_with(vec![TenantSpec {

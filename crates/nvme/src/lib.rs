@@ -16,7 +16,8 @@ mod status;
 
 pub use cmd::{AdminOpcode, NvmOpcode, SubmissionEntry};
 pub use queue::{
-    CachePadded, CqConsumer, CqPair, CqProducer, QueuePair, SqConsumer, SqPair, SqProducer,
+    Bell, BellPage, CachePadded, CqConsumer, CqPair, CqProducer, QueuePair, SqConsumer, SqPair,
+    SqProducer,
 };
 pub use status::{CompletionEntry, Status, StatusCodeType};
 

@@ -9,8 +9,8 @@ baseline dir before re-running the benches). A metric may only move the
 wrong way by its tolerance (default 15%); wall-clock-derived metrics get
 wider tolerances than virtual-time ones, which are deterministic.
 
-A report with no committed baseline is reported as new and skipped, so
-adding a bench does not require seeding its baseline by hand.
+A report (or a metric) with no committed baseline is reported as new and
+skipped, so adding a bench does not require seeding its baseline by hand.
 """
 
 import json
@@ -35,6 +35,9 @@ METRICS = [
     ("BENCH_fleet.json", "coalesce_iops_win", "higher", 0.15),
     ("BENCH_fleet.json", "device_occupancy_cut", "higher", 0.15),
     ("BENCH_fleet.json", "fairness_jain", "higher", 0.15),
+    # Wall clock (tagged "clock": "wall" in the report): a ratio of two
+    # ~10 ns timings; the hard 4x bar lives in fleet_report.
+    ("BENCH_fleet.json", "idle_poll.ratio_1024_to_16", "lower", 1.00),
     ("BENCH_servicing.json", "quiesce_ns", "lower", 0.15),
     ("BENCH_servicing.json", "reshard_drain_p99_ns", "lower", 0.15),
     ("BENCH_adaptive.json", "idle_duty", "lower", 0.15),
@@ -76,7 +79,7 @@ def main():
         try:
             with open(f"{base_dir}/{fname}") as f:
                 base = resolve(json.load(f), path)
-        except FileNotFoundError:
+        except (FileNotFoundError, KeyError):
             print(f"new   {fname}:{path} = {cur} (no committed baseline)")
             continue
         if base == 0:

@@ -864,3 +864,178 @@ fn engine_stats_are_one_pass_and_carry_across_restore() {
     );
     assert_eq!(after.occupancy, 0, "drained snapshot restores empty");
 }
+
+/// Doorbell re-bind (ISSUE 14): a VM detached with commands still queued
+/// in its VSQ and attached to another engine is visited on that engine's
+/// first poll. The commands rang the old shard's page while the VM was
+/// paused and again, into nobody's page, while it was detached; binding
+/// rings the new shard's bell for a ring that arrives non-empty.
+#[test]
+fn detached_vm_with_queued_commands_is_visited_on_first_poll_elsewhere() {
+    for seed in seeds() {
+        let queued = 1 + (seed % 23) as u16;
+        let telemetry = Telemetry::disabled();
+        let (mut engine_a, mut ssd, ends) = build_rig(
+            1,
+            1,
+            deterministic_cost(),
+            FaultPlan::none(),
+            None,
+            &telemetry,
+        );
+        let (sq, cq) = &ends[0];
+        // Paused, the VM's VSQ fills while its shard looks away.
+        engine_a.pause_vm(0).unwrap();
+        for i in 0..queued / 2 {
+            let mut cmd = SubmissionEntry::read(1, i as u64 * 8, 8, 0x1000, 0);
+            cmd.cid = i;
+            sq.push(cmd).unwrap();
+        }
+        for step in 0..10 {
+            engine_a.poll_all(step * 5 * US);
+        }
+        assert_eq!(
+            sq.len(),
+            (queued / 2) as usize,
+            "a paused VM is not drained"
+        );
+        let vm = engine_a.detach_vm(0).unwrap();
+        // Detached, more arrive: nobody is bound to hear them.
+        for i in queued / 2..queued {
+            let mut cmd = SubmissionEntry::read(1, i as u64 * 8, 8, 0x1000, 0);
+            cmd.cid = i;
+            sq.push(cmd).unwrap();
+        }
+
+        // Another engine, other shard count, the VM behind three others.
+        let mem = Arc::new(GuestMemory::new(1 << 20));
+        let mut builder = RouterBuilder::new("router-b")
+            .cost(deterministic_cost())
+            .shards(2);
+        for id in 1..4 {
+            let (binding, _, _) = queue_group(&mut ssd, &mem, true);
+            builder = builder.vm(EngineVm {
+                vm_id: id,
+                mem: mem.clone(),
+                partition: Partition::whole(1 << 20),
+                queues: vec![binding],
+            });
+        }
+        let mut engine_b = builder.build();
+        engine_b.attach_vm(vm);
+        let mut now = 100 * US;
+        engine_b.poll_all(now);
+        assert!(
+            sq.is_empty(),
+            "seed {seed:#x}: {queued} queued commands must be fetched by the first poll"
+        );
+        let mut counts: HashMap<u16, u32> = HashMap::new();
+        while counts.len() < queued as usize && now < 50 * MS {
+            now += 5 * US;
+            engine_b.poll_all(now);
+            ssd.poll(now);
+            while let Some(cqe) = cq.pop() {
+                *counts.entry(cqe.cid).or_insert(0) += 1;
+            }
+        }
+        assert_eq!(counts.len(), queued as usize, "seed {seed:#x}");
+        assert!(counts.values().all(|&n| n == 1), "seed {seed:#x}");
+    }
+}
+
+/// Doorbell re-bind (ISSUE 14): `reshard` 2→4→2 with commands landing
+/// between each snapshot and its restore — when no shard is bound to the
+/// rings — strands nothing.
+#[test]
+fn pushes_between_snapshot_and_restore_are_not_stranded() {
+    const QPS: usize = 6;
+    for seed in seeds() {
+        let telemetry = Telemetry::disabled();
+        let (mut engine, mut ssd, ends) = build_rig(
+            2,
+            QPS,
+            deterministic_cost(),
+            FaultPlan::none(),
+            None,
+            &telemetry,
+        );
+        let mut next_cid = [0u16; QPS];
+        let mut counts: Vec<HashMap<u16, u32>> = vec![HashMap::new(); QPS];
+        let mut rng = nvmetro::sim::SimRng::new(seed);
+        let mut push_some = |next_cid: &mut [u16; QPS]| {
+            for (qp, (sq, _)) in ends.iter().enumerate() {
+                for _ in 0..rng.below(5) {
+                    let mut cmd = SubmissionEntry::read(
+                        1,
+                        qp as u64 * 8192 + next_cid[qp] as u64,
+                        8,
+                        0x1000,
+                        0,
+                    );
+                    cmd.cid = next_cid[qp];
+                    sq.push(cmd).unwrap();
+                    next_cid[qp] += 1;
+                }
+            }
+        };
+        let mut now: Ns = 0;
+        for shards in [4usize, 2] {
+            push_some(&mut next_cid);
+            // Quiesce and drain, so the only work that crosses the
+            // snapshot is what lands in the VSQs after it.
+            for _ in 0..(4 + seed % 16) {
+                engine.poll_all(now);
+                ssd.poll(now);
+                now += 5 * US;
+            }
+            engine.begin_quiesce();
+            while !engine.quiesced() {
+                engine.poll_all(now);
+                ssd.poll(now);
+                now += 5 * US;
+                assert!(now < 50 * MS, "seed {seed:#x}: quiesce never drained");
+            }
+            let (state, parts) = engine.snapshot(now);
+            // The old shards are gone and the new ones not built: these
+            // ring pages nobody polls.
+            push_some(&mut next_cid);
+            engine = Engine::restore_with_shards(parts, &state, shards, now).unwrap();
+            assert_eq!(engine.shard_count(), shards);
+            // Only the restored engine's own polls from here: whatever it
+            // fetches, it was told of by the re-bind.
+            for _ in 0..8 {
+                engine.poll_all(now);
+                ssd.poll(now);
+                now += 5 * US;
+            }
+            for (qp, (sq, _)) in ends.iter().enumerate() {
+                assert!(
+                    sq.is_empty(),
+                    "seed {seed:#x} → {shards} shards: queue pair {qp} stranded {} commands",
+                    sq.len()
+                );
+            }
+        }
+        let total: usize = next_cid.iter().map(|&n| n as usize).sum();
+        let mut delivered = 0;
+        while delivered < total && now < 100 * MS {
+            engine.poll_all(now);
+            ssd.poll(now);
+            for (qp, (_, cq)) in ends.iter().enumerate() {
+                while let Some(cqe) = cq.pop() {
+                    *counts[qp].entry(cqe.cid).or_insert(0) += 1;
+                    delivered += 1;
+                }
+            }
+            now += 5 * US;
+        }
+        for (qp, c) in counts.iter().enumerate() {
+            assert_eq!(
+                c.len(),
+                next_cid[qp] as usize,
+                "seed {seed:#x}: queue pair {qp} lost completions"
+            );
+            assert!(c.values().all(|&n| n == 1), "seed {seed:#x}: qp {qp}");
+        }
+    }
+}
