@@ -22,6 +22,15 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> cipher and storage-function tests, optimised"
+# The AES-NI routine is only inlined and pipelined under optimisation, and
+# the sector and LBA overflow cases only panic in the debug run above: each
+# build catches what the other cannot. This run includes
+# `hardware_engine_is_selected_when_the_cpu_has_it`, so a host with AES-NI
+# that fell back to the portable engine fails here instead of reporting a
+# slow number.
+cargo test --release -q -p nvmetro-crypto -p nvmetro-functions
+
 echo "==> chaos sweep (seeded fault plans, 1 and 4 shards)"
 # The servicing suite's doorbell re-bind cases (a VM detached with queued
 # commands, pushes between snapshot and restore) take the swept seed too.

@@ -12,7 +12,7 @@
 //! * **direct mediation** — classifier writes to the context's writable
 //!   window are copied back into the forwarded command (LBA translation);
 //! * **isolation** — the router re-checks the VM's partition bounds on
-//!   every fast-path send, whatever the classifier did;
+//!   every fast-path and notify-path send, whatever the classifier did;
 //! * **shared worker** — one router serves many VMs round-robin and tracks
 //!   per-VM activity (its CPU mode is adaptive polling).
 //!
@@ -1295,9 +1295,12 @@ impl Router {
             self.stats.multicasts += 1;
             self.telemetry.count(Metric::Multicasts);
         }
-        // Isolation: the fast path reaches real hardware, so partition
-        // bounds are enforced here, not trusted to the classifier.
-        if send & path_bits::HQ != 0 {
+        // Isolation: the fast path reaches real hardware, and a UIF on the
+        // notify path writes the classifier-translated LBA through its own
+        // backend queue, so partition bounds are enforced here for both,
+        // not trusted to the classifier. (A kernel-path classifier leaves
+        // the LBA alone: the dm target translates on its own side.)
+        if send & (path_bits::HQ | path_bits::NQ) != 0 {
             let state = self.table.get(tag).expect("tracked");
             let (slba, nlb) = (state.cmd.slba(), state.cmd.nlb());
             let has_lba = state.cmd.has_data() || matches!(state.cmd.opcode, 0x08 | 0x09);

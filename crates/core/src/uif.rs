@@ -128,9 +128,12 @@ impl<'a> UifRequest<'a> {
         }
     }
 
-    /// Applies `f` to the guest data in place (e.g. in-place decryption of
-    /// ciphertext the device already delivered, as in Listing 2's
-    /// `do_read`).
+    /// Applies `f` to the guest data and writes it back (e.g. decryption
+    /// of ciphertext the device already delivered, as in Listing 2's
+    /// `do_read`). In place for the guest, not for the host: the data is
+    /// gathered with [`UifRequest::read_guest`] (a `Vec` per PRP segment,
+    /// copied into one buffer) and scattered with
+    /// [`UifRequest::write_guest`].
     pub fn modify_guest(&self, f: impl FnOnce(&mut [u8])) {
         if !self.transfer_data {
             return;

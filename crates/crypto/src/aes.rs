@@ -1,8 +1,32 @@
-//! AES block cipher (FIPS-197), supporting 128- and 256-bit keys.
+//! AES block cipher (FIPS-197), supporting 128- and 256-bit keys, on one of
+//! two engines chosen by the CPU, never by an option:
 //!
-//! A straightforward table-based software implementation: S-box substitution,
-//! row shifts, GF(2^8) column mixing, and the standard key schedule. Clarity
-//! over speed — the performance model for AES-NI lives in `nvmetro-sim`.
+//! * the **hardware engine** ([`crate::ni`]): AES-NI, what the paper's UIF
+//!   runs. [`Aes::new`] selects it when `is_x86_feature_detected!("aes")`
+//!   says so (x86_64 only) and keeps the proof of that in the key, so no
+//!   block is ever processed on an instruction the CPU lacks;
+//! * the **portable engine** (this file): a straightforward software
+//!   implementation — S-box substitution, row shifts, GF(2^8) column
+//!   mixing. It is the only engine on a host without AES-NI and the
+//!   reference the hardware engine is tested against, which is why it is
+//!   written for clarity and left alone.
+//!
+//! Key material is expanded once, into fixed arrays. `enc` holds the
+//! FIPS-197 key schedule in round order. `dec` holds the keys of the
+//! *equivalent inverse cipher* (FIPS-197 §5.3.5) in the order decryption
+//! consumes them: `dec[0] = enc[rounds]`, `dec[i] =
+//! InvMixColumns(enc[rounds - i])`, `dec[rounds] = enc[0]` — the order
+//! `aesdec` wants. The portable engine decrypts with `enc` read backwards
+//! and never looks at `dec`.
+//!
+//! Side channels: the portable engine indexes tables by secret bytes and
+//! (`gmul`) branches on secret bits; the hardware engine is constant-time.
+//! Choosing AES-NI whenever the CPU has it therefore gives no such property
+//! up. A table-driven "fast portable" engine would widen the leak for
+//! hosts no benchmark workload runs on; it is deliberately not here.
+
+#[cfg(target_arch = "x86_64")]
+use crate::ni::AesNi;
 
 /// AES S-box.
 const SBOX: [u8; 256] = [
@@ -54,25 +78,49 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
+/// Round keys of the largest supported key (AES-256: 14 rounds + 1).
+const MAX_ROUND_KEYS: usize = 15;
+
 /// An expanded AES key, usable for block encryption and decryption.
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Key schedule in round order; entries past `rounds` are unused.
+    enc: [[u8; 16]; MAX_ROUND_KEYS],
+    /// Equivalent-inverse-cipher keys in the order decryption uses them
+    /// (see the module docs); read by the hardware engine only.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    dec: [[u8; 16]; MAX_ROUND_KEYS],
     rounds: usize,
+    /// Present iff the CPU has AES-NI: the hardware engine's entry points
+    /// are methods of this value, so they are unreachable without it.
+    #[cfg(target_arch = "x86_64")]
+    ni: Option<AesNi>,
 }
 
 impl Aes {
-    /// Expands a 16-byte (AES-128) or 32-byte (AES-256) key.
+    /// Expands a 16-byte (AES-128) or 32-byte (AES-256) key and selects
+    /// the engine: AES-NI if this CPU has it, the portable one otherwise.
     pub fn new(key: &[u8]) -> Self {
+        Aes {
+            #[cfg(target_arch = "x86_64")]
+            ni: AesNi::detect(),
+            ..Self::portable(key)
+        }
+    }
+
+    /// Expands a key for the portable engine whatever the CPU has: what
+    /// `new` returns on a host without AES-NI, and the reference the tests
+    /// hold the hardware engine against.
+    pub(crate) fn portable(key: &[u8]) -> Self {
         let (nk, rounds) = match key.len() {
             16 => (4usize, 10usize),
             32 => (8, 14),
             n => panic!("AES key must be 16 or 32 bytes, got {n}"),
         };
         let total_words = 4 * (rounds + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        let mut w = [[0u8; 4]; 4 * MAX_ROUND_KEYS];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            word.copy_from_slice(bytes);
         }
         let mut rcon = 1u8;
         for i in nk..total_words {
@@ -90,24 +138,31 @@ impl Aes {
                 }
             }
             let prev = w[i - nk];
-            w.push([
+            w[i] = [
                 t[0] ^ prev[0],
                 t[1] ^ prev[1],
                 t[2] ^ prev[2],
                 t[3] ^ prev[3],
-            ]);
+            ];
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (i, word) in c.iter().enumerate() {
-                    rk[4 * i..4 * i + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
-        Aes { round_keys, rounds }
+        let mut enc = [[0u8; 16]; MAX_ROUND_KEYS];
+        for (rk, words) in enc.iter_mut().zip(w.chunks_exact(4)) {
+            rk.copy_from_slice(words.as_flattened());
+        }
+        let mut dec = [[0u8; 16]; MAX_ROUND_KEYS];
+        for (i, rk) in dec[..=rounds].iter_mut().enumerate() {
+            *rk = enc[rounds - i];
+        }
+        for rk in &mut dec[1..rounds] {
+            Self::inv_mix_columns(rk);
+        }
+        Aes {
+            enc,
+            dec,
+            rounds,
+            #[cfg(target_arch = "x86_64")]
+            ni: None,
+        }
     }
 
     fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
@@ -183,36 +238,67 @@ impl Aes {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[0]);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = self.ni {
+            return ni.encrypt_block(self.enc_keys(), block);
+        }
+        Self::add_round_key(block, &self.enc[0]);
         for r in 1..self.rounds {
             Self::sub_bytes(block);
             Self::shift_rows(block);
             Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[r]);
+            Self::add_round_key(block, &self.enc[r]);
         }
         Self::sub_bytes(block);
         Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[self.rounds]);
+        Self::add_round_key(block, &self.enc[self.rounds]);
     }
 
     /// Decrypts one 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[self.rounds]);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = self.ni {
+            return ni.decrypt_block(self.dec_keys(), block);
+        }
+        Self::add_round_key(block, &self.enc[self.rounds]);
         for r in (1..self.rounds).rev() {
             Self::inv_shift_rows(block);
             Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[r]);
+            Self::add_round_key(block, &self.enc[r]);
             Self::inv_mix_columns(block);
         }
         Self::inv_shift_rows(block);
         Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
+        Self::add_round_key(block, &self.enc[0]);
+    }
+}
+
+/// What [`crate::xts`] hands the hardware engine.
+#[cfg(target_arch = "x86_64")]
+impl Aes {
+    /// The hardware engine, if `new` selected it.
+    pub(crate) fn ni(&self) -> Option<AesNi> {
+        self.ni
+    }
+
+    /// The encryption round keys, first to last.
+    pub(crate) fn enc_keys(&self) -> &[[u8; 16]] {
+        &self.enc[..=self.rounds]
+    }
+
+    /// The equivalent-inverse-cipher round keys, first used to last.
+    pub(crate) fn dec_keys(&self) -> &[[u8; 16]] {
+        &self.dec[..=self.rounds]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Both engines, by constructor: the one the CPU selects and the
+    /// portable one. Every test below runs on each.
+    const ENGINES: [fn(&[u8]) -> Aes; 2] = [Aes::new, Aes::portable];
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -225,37 +311,40 @@ mod tests {
     fn fips197_aes128_known_answer() {
         // FIPS-197 Appendix C.1
         let key = hex("000102030405060708090a0b0c0d0e0f");
-        let aes = Aes::new(&key);
-        let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
+        for aes in ENGINES.map(|new| new(&key)) {
+            let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
+            aes.encrypt_block(&mut block);
+            assert_eq!(block.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
+            aes.decrypt_block(&mut block);
+            assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
+        }
     }
 
     #[test]
     fn fips197_aes256_known_answer() {
         // FIPS-197 Appendix C.3
         let key = hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-        let aes = Aes::new(&key);
-        let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("8ea2b7ca516745bfeafc49904b496089"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
+        for aes in ENGINES.map(|new| new(&key)) {
+            let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
+            aes.encrypt_block(&mut block);
+            assert_eq!(block.to_vec(), hex("8ea2b7ca516745bfeafc49904b496089"));
+            aes.decrypt_block(&mut block);
+            assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
+        }
     }
 
     #[test]
     fn encrypt_decrypt_round_trip_random_keys() {
         for seed in 0..8u8 {
             let key: Vec<u8> = (0..32).map(|i| i as u8 ^ seed.wrapping_mul(37)).collect();
-            let aes = Aes::new(&key);
-            let original: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(seed | 1));
-            let mut block = original;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, original, "ciphertext must differ");
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, original);
+            for aes in ENGINES.map(|new| new(&key)) {
+                let original: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(seed | 1));
+                let mut block = original;
+                aes.encrypt_block(&mut block);
+                assert_ne!(block, original, "ciphertext must differ");
+                aes.decrypt_block(&mut block);
+                assert_eq!(block, original);
+            }
         }
     }
 
@@ -263,6 +352,12 @@ mod tests {
     #[should_panic(expected = "16 or 32 bytes")]
     fn bad_key_length_panics() {
         let _ = Aes::new(&[0u8; 24]); // AES-192 intentionally unsupported
+    }
+
+    #[test]
+    #[should_panic(expected = "16 or 32 bytes")]
+    fn bad_key_length_panics_on_the_portable_engine() {
+        let _ = Aes::portable(&[0u8; 24]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! compatible with Linux's dm-crypt" (§IV-A). This crate implements that
 //! stack from scratch:
 //!
-//! * [`aes`] — AES-128/256 block cipher (FIPS-197), software implementation;
+//! * [`aes`] — AES-128/256 block cipher (FIPS-197) on one of two engines:
+//!   AES-NI, which the paper's UIFs run, when the CPU has it, and a
+//!   portable software implementation otherwise;
 //! * [`xts`] — XTS mode (IEEE 1619) with dm-crypt's `plain64` sector tweak,
 //!   so NVMetro's encryptor and the simulated `dm-crypt` baseline produce
 //!   byte-identical ciphertext;
@@ -12,11 +14,21 @@
 //!   inside an opaque enclave object that only exposes ECALLs, with call
 //!   accounting for the switchless-call cost model (see `DESIGN.md`).
 //!
-//! The paper's UIFs use AES-NI; we model AES-NI's *throughput* in
-//! `nvmetro-sim::cost` while this software implementation provides the
-//! *functional* data transformation for tests and examples.
+//! The engine is chosen by `Aes::new` from what the CPU reports
+//! (`is_x86_feature_detected!("aes")`, x86_64 only), never by an option:
+//! the encryptor UIF, the `dm-crypt` baseline and the enclave all build
+//! their cipher through `Xts::new` and all get the same one. On AES-NI an
+//! XTS data unit goes through one routine with eight blocks in flight
+//! (`ni`, the only module with `unsafe`); the portable engine is the
+//! fallback and the reference that routine is tested against, byte for
+//! byte. Virtual time still comes from `nvmetro-sim::cost`
+//! (`xts_per_byte`); EXPERIMENTS.md, "Cipher: measured vs calibrated",
+//! sets the measured ns/B of both engines beside it. `aes` has the layout
+//! of the key material and the side-channel note.
 
 pub mod aes;
+#[cfg(target_arch = "x86_64")]
+mod ni;
 pub mod sgx;
 pub mod xts;
 

@@ -98,8 +98,13 @@ impl EncryptorUif {
 
 impl Uif for EncryptorUif {
     fn work(&mut self, req: &mut UifRequest<'_>) -> UifDisposition {
-        let disk_addr = req.cmd.slba(); // already physical (classifier)
-        let sector = disk_addr - self.lba_offset; // XTS tweak (guest view)
+        // Already physical (classifier); the XTS tweak is the guest's view.
+        // The router bounds every notify-path LBA to the partition, so only
+        // a mis-wired offset can land below it.
+        let disk_addr = req.cmd.slba();
+        let Some(sector) = disk_addr.checked_sub(self.lba_offset) else {
+            return UifDisposition::Respond(Status::LBA_OUT_OF_RANGE);
+        };
         match req.opcode() {
             Some(NvmOpcode::Read) => {
                 // uif::do_read: iterate blocks from the device, decrypt

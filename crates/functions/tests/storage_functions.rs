@@ -153,17 +153,24 @@ fn build(function: Function) -> Rig {
     }
 }
 
+/// Pushes one command, runs the rig dry and returns the status of the one
+/// CQE it must have produced.
+fn guest_submit(rig: &mut Rig, cmd: SubmissionEntry) -> Status {
+    rig.guest_sq.push(cmd).unwrap();
+    rig.ex.run(u64::MAX);
+    let cqe = rig.guest_cq.pop().expect("a completion");
+    assert_eq!(cqe.cid, cmd.cid);
+    assert!(rig.guest_cq.pop().is_none(), "exactly one CQE");
+    cqe.status()
+}
+
 fn guest_write(rig: &mut Rig, slba: u64, data: &[u8], cid: u16) {
     let gpa = rig.mem.alloc(data.len());
     rig.mem.write(gpa, data);
     let (p1, p2) = nvmetro_mem::build_prps(&rig.mem, gpa, data.len());
     let mut cmd = SubmissionEntry::write(1, slba, (data.len() / 512) as u32, p1, p2);
     cmd.cid = cid;
-    rig.guest_sq.push(cmd).unwrap();
-    rig.ex.run(u64::MAX);
-    let cqe = rig.guest_cq.pop().expect("write completion");
-    assert_eq!(cqe.cid, cid);
-    assert_eq!(cqe.status(), Status::SUCCESS);
+    assert_eq!(guest_submit(rig, cmd), Status::SUCCESS);
 }
 
 fn guest_read(rig: &mut Rig, slba: u64, len: usize, cid: u16) -> Vec<u8> {
@@ -171,11 +178,7 @@ fn guest_read(rig: &mut Rig, slba: u64, len: usize, cid: u16) -> Vec<u8> {
     let (p1, p2) = nvmetro_mem::build_prps(&rig.mem, gpa, len);
     let mut cmd = SubmissionEntry::read(1, slba, (len / 512) as u32, p1, p2);
     cmd.cid = cid;
-    rig.guest_sq.push(cmd).unwrap();
-    rig.ex.run(u64::MAX);
-    let cqe = rig.guest_cq.pop().expect("read completion");
-    assert_eq!(cqe.cid, cid);
-    assert_eq!(cqe.status(), Status::SUCCESS);
+    assert_eq!(guest_submit(rig, cmd), Status::SUCCESS);
     rig.mem.read_vec(gpa, len)
 }
 
@@ -279,6 +282,59 @@ fn encrypted_disk_readable_by_dm_crypt_stack() {
     }
     assert_eq!(out[0].1, Status::SUCCESS);
     assert_eq!(guest2.read_vec(gpa, 1024), plain);
+}
+
+/// LBAs a guest of the 100 000-block partition may not touch: just past
+/// the end, straddling the end, and far enough up that the classifier's
+/// `slba += offset` wraps to a physical LBA below the partition.
+const BAD_LBAS: [(u64, u32); 3] = [(100_005, 1), (99_999, 2), (u64::MAX - 10, 1)];
+
+/// The encryptor's writes leave the router on the notify path only, and
+/// the UIF writes the classifier-translated LBA through its own backend
+/// queue: the router's isolation check has to cover that path too, or
+/// ciphertext lands outside the partition (and `u64::MAX - 10` underflows
+/// the UIF's tweak arithmetic).
+#[test]
+fn encryptor_refuses_writes_outside_the_partition() {
+    for (cid, (slba, nlb)) in BAD_LBAS.into_iter().enumerate() {
+        let mut rig = build(Function::Encryptor(CryptoBackend::Xts(Box::new(Xts::new(
+            &[0x42u8; 64],
+        )))));
+        let data = vec![0x5Au8; nlb as usize * 512];
+        let gpa = rig.mem.alloc(data.len());
+        rig.mem.write(gpa, &data);
+        let (p1, p2) = nvmetro_mem::build_prps(&rig.mem, gpa, data.len());
+        let mut cmd = SubmissionEntry::write(1, slba, nlb, p1, p2);
+        cmd.cid = cid as u16;
+        assert_eq!(guest_submit(&mut rig, cmd), Status::LBA_OUT_OF_RANGE);
+        assert_eq!(rig.primary.resident_blocks(), 0, "nothing written");
+    }
+}
+
+#[test]
+fn encryptor_refuses_reads_outside_the_partition() {
+    for (cid, (slba, nlb)) in BAD_LBAS.into_iter().enumerate() {
+        let mut rig = build(Function::Encryptor(CryptoBackend::Xts(Box::new(Xts::new(
+            &[0x42u8; 64],
+        )))));
+        // A neighbour's data on both sides of the partition.
+        rig.primary
+            .write_blocks(PART_OFFSET - 16, &[0xEE; 16 * 512]);
+        rig.primary
+            .write_blocks(PART_OFFSET + 100_000, &[0xEE; 16 * 512]);
+        let len = nlb as usize * 512;
+        let gpa = rig.mem.alloc(len);
+        rig.mem.write(gpa, &vec![0x77u8; len]);
+        let (p1, p2) = nvmetro_mem::build_prps(&rig.mem, gpa, len);
+        let mut cmd = SubmissionEntry::read(1, slba, nlb, p1, p2);
+        cmd.cid = cid as u16;
+        assert_eq!(guest_submit(&mut rig, cmd), Status::LBA_OUT_OF_RANGE);
+        assert_eq!(
+            rig.mem.read_vec(gpa, len),
+            vec![0x77u8; len],
+            "nothing read"
+        );
+    }
 }
 
 #[test]

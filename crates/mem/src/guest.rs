@@ -111,8 +111,9 @@ impl GuestMemory {
         v
     }
 
-    /// Applies `f` in place to `len` bytes at `gpa` — used by UIFs for
-    /// in-place decryption of guest buffers without an extra copy.
+    /// Applies `f` to `len` bytes at `gpa` and writes the result back: a
+    /// read-modify-write through one temporary buffer (one allocation, a
+    /// copy out and a copy in), not a borrow of the guest's pages.
     pub fn modify(&self, gpa: u64, len: usize, f: impl FnOnce(&mut [u8])) {
         let mut buf = self.read_vec(gpa, len);
         f(&mut buf);

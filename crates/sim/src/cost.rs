@@ -114,7 +114,11 @@ pub struct CostModel {
 
     // ----- encryption -----
     /// XTS-AES throughput per crypto thread, ns per byte
-    /// (0.45 ns/B ≈ 2.2 GB/s with AES-NI).
+    /// (0.45 ns/B ≈ 2.2 GB/s with AES-NI). Calibrated to the paper's
+    /// figures, not taken from this host: `nvmetro-crypto` on AES-NI
+    /// measures 0.20-0.26 ns/B here (EXPERIMENTS.md, "Cipher: measured vs
+    /// calibrated"), the same order, and the constant stays as it is so
+    /// that virtual time does not depend on the machine.
     pub xts_per_byte: f64,
     /// Fixed cost per encrypted/decrypted request (key schedule reuse,
     /// sector iteration setup).
