@@ -89,9 +89,8 @@ python3 -c "import json; d=json.load(open('BENCH_servicing.json')); assert d['ze
 
 echo "==> adaptive smoke (writes BENCH_adaptive.json)"
 # Asserts the adaptive-datapath bars: a governor-run shard parks on idle
-# trickle (duty < 5%, an order of magnitude under always-spin), loaded
-# p99 within 5% of always-spin, and auto batching reaches at least 95%
-# of the best fixed batch with >= 1 retune.
+# trickle (duty < 5%, an order of magnitude under always-spin), and loaded
+# p99 within 5% of always-spin.
 NVMETRO_BENCH_MS="${NVMETRO_BENCH_MS:-40}" \
   cargo run --release -q -p nvmetro-bench --bin adaptive_smoke
 python3 -c "
@@ -101,7 +100,6 @@ assert d['idle_parks'] >= 1 and d['idle_wakes'] >= 1, 'no park/wake cycle'
 assert d['idle_duty'] < 0.05, 'idle duty above 5%'
 assert d['idle_adaptive_cpu_ns'] * 10 <= d['idle_spin_cpu_ns'], 'idle burn not well under spin'
 assert d['loaded_p99_ratio'] <= 1.05, 'adaptive loaded p99 above 1.05x spin'
-assert d['auto_retunes'] >= 1 and d['auto_vs_best_fixed'] >= 0.95, 'auto batching below bar'
 " || { echo "BENCH_adaptive.json failed validation"; exit 1; }
 
 echo "==> blackbox smoke (writes BENCH_blackbox.json)"

@@ -183,7 +183,7 @@ fn main() {
                 false,
             );
             ex.add(Box::new(runner));
-            let mut router = nvmetro_core::Router::new("router", cost.clone(), 1, 4096);
+            let mut router = nvmetro_core::Router::new("router", cost.clone(), 4096);
             router.bind_vm(nvmetro_core::VmBinding {
                 vm_id: 0,
                 mem: mem.clone(),

@@ -1,4 +1,4 @@
-//! Adaptive datapath smoke: the three acceptance bars for the hybrid
+//! Adaptive datapath smoke: the two acceptance bars for the hybrid
 //! busy-poll⇄park engine, written to `BENCH_adaptive.json` for CI.
 //!
 //! * **Idle burn** — under a sparse trickle (one read every 1 ms) a
@@ -8,9 +8,6 @@
 //! * **Loaded tail** — at a sustained QD-32×4 closed loop the governor
 //!   never leaves spin mode, so its read p99 stays within 5% of the
 //!   always-spin engine: adaptivity costs nothing when there is work.
-//! * **Auto batching** — against a bursty doorbell pattern,
-//!   `BatchPolicy::Auto` climbs from the smallest batch and lands
-//!   within 5% of the best hand-tuned fixed setting's throughput.
 //!
 //! ```sh
 //! cargo run --release -p nvmetro-bench --bin adaptive_smoke
@@ -18,13 +15,13 @@
 
 use nvmetro_core::classify::Classifier;
 use nvmetro_core::engine::{EngineVm, QueueBinding, RouterBuilder};
-use nvmetro_core::policy::{BatchPolicy, EnginePolicy, PollPolicy};
+use nvmetro_core::policy::{EnginePolicy, PollPolicy};
 use nvmetro_core::{passthrough_program, Partition};
 use nvmetro_device::{CompletionMode, SimSsd, SsdConfig};
 use nvmetro_mem::GuestMemory;
 use nvmetro_nvme::{CqConsumer, CqPair, SqPair, SqProducer, SubmissionEntry};
 use nvmetro_sim::cost::CostModel;
-use nvmetro_sim::{Actor, Executor, Ns, Progress, MS, SEC, US};
+use nvmetro_sim::{Actor, Executor, Ns, Progress, MS, US};
 use nvmetro_stats::Histogram;
 use nvmetro_telemetry::{Metric, Percentiles, Telemetry};
 use std::collections::HashMap;
@@ -56,15 +53,11 @@ struct LoadStats {
 }
 
 /// Closed-loop read generator over one queue pair until `deadline`.
-/// `bursty` submits the doorbell pattern batched guests produce — let
-/// half the window drain, then top back up in one go — which is the
-/// shape where the SQ drain bound (and thus the batch tuner) matters.
 struct Load {
     name: String,
     sq: SqProducer,
     cq: CqConsumer,
     qd: usize,
-    bursty: bool,
     outstanding: usize,
     deadline: Ns,
     next_cid: u16,
@@ -74,20 +67,12 @@ struct Load {
 }
 
 impl Load {
-    fn new(
-        name: String,
-        sq: SqProducer,
-        cq: CqConsumer,
-        qd: usize,
-        bursty: bool,
-        deadline: Ns,
-    ) -> Self {
+    fn new(name: String, sq: SqProducer, cq: CqConsumer, qd: usize, deadline: Ns) -> Self {
         Load {
             name,
             sq,
             cq,
             qd,
-            bursty,
             outstanding: 0,
             deadline,
             next_cid: 0,
@@ -113,12 +98,7 @@ impl Actor for Load {
             }
             progressed = true;
         }
-        let refill = if self.bursty {
-            self.outstanding <= self.qd / 2
-        } else {
-            true
-        };
-        if now < self.deadline && refill {
+        if now < self.deadline {
             while self.outstanding < self.qd {
                 let mut cmd = SubmissionEntry::read(1, self.lba, 1, 0x1000, 0);
                 cmd.cid = self.next_cid;
@@ -291,33 +271,28 @@ fn run_idle(adaptive: bool, window: Ns) -> IdleResult {
 }
 
 struct LoadedResult {
-    iops: f64,
     p99_ns: u64,
     completed: u64,
-    retunes: u64,
 }
 
-/// Aggregate IOPS and read p99 for a closed-loop run under `policy`.
-fn run_loaded(policy: EnginePolicy, bursty: bool, window: Ns) -> LoadedResult {
+/// Completed reads and read p99 for a closed-loop run under `policy`.
+fn run_loaded(policy: EnginePolicy, window: Ns) -> LoadedResult {
     let mut stats = Vec::new();
     let mut rig = build_rig(policy, fast_device_cost(), QUEUE_PAIRS, |qp, sq, cq| {
-        let load = Load::new(format!("load-{qp}"), sq, cq, QD, bursty, window);
+        let load = Load::new(format!("load-{qp}"), sq, cq, QD, window);
         stats.push(load.stats.clone());
         Box::new(load)
     });
-    let report = rig.ex.run(u64::MAX);
+    rig.ex.run(u64::MAX);
     let mut completed = 0u64;
     let mut hist = Histogram::new();
     for s in &stats {
         completed += s.completed.load(Ordering::Relaxed);
         hist.merge(&s.latency.lock().unwrap());
     }
-    let snap = rig.telemetry.snapshot();
     LoadedResult {
-        iops: completed as f64 * SEC as f64 / report.duration.max(1) as f64,
         p99_ns: Percentiles::of(&hist).p99,
         completed,
-        retunes: snap.get(Metric::BatchRetunes),
     }
 }
 
@@ -360,12 +335,8 @@ fn main() {
     );
 
     // Bar 2: loaded tail.
-    let spin_loaded = run_loaded(EnginePolicy::new(), false, window);
-    let adaptive_loaded = run_loaded(
-        EnginePolicy::new().poll(PollPolicy::adaptive()),
-        false,
-        window,
-    );
+    let spin_loaded = run_loaded(EnginePolicy::new(), window);
+    let adaptive_loaded = run_loaded(EnginePolicy::new().poll(PollPolicy::adaptive()), window);
     let p99_ratio = adaptive_loaded.p99_ns as f64 / spin_loaded.p99_ns.max(1) as f64;
     println!(
         "loaded: spin p99={}ns adaptive p99={}ns ratio={:.3} ({} / {} reads)",
@@ -380,36 +351,8 @@ fn main() {
         "adaptive loaded p99 {p99_ratio:.3}x exceeds the 1.05x bar"
     );
 
-    // Bar 3: auto batching vs the best fixed setting.
-    let mut best_fixed = 0.0f64;
-    let mut fixed_lines = Vec::new();
-    for n in [4usize, 32, 256] {
-        let r = run_loaded(
-            EnginePolicy::new().batch(BatchPolicy::Fixed(n)),
-            true,
-            window,
-        );
-        println!("batch fixed={n}: iops={:.0} p99={}ns", r.iops, r.p99_ns);
-        fixed_lines.push(format!("    {{\"batch\": {}, \"iops\": {:.0}}}", n, r.iops));
-        best_fixed = best_fixed.max(r.iops);
-    }
-    let auto = run_loaded(EnginePolicy::new().batch(BatchPolicy::auto()), true, window);
-    let auto_ratio = auto.iops / best_fixed.max(1.0);
-    println!(
-        "batch auto: iops={:.0} retunes={} ratio={:.3}",
-        auto.iops, auto.retunes, auto_ratio
-    );
-    assert!(
-        auto.retunes >= 1,
-        "the tuner never moved off its starting batch"
-    );
-    assert!(
-        auto_ratio >= 0.95,
-        "auto batching {auto_ratio:.3}x below the 0.95x-of-best-fixed bar"
-    );
-
     let json = format!(
-        "{{\n  \"duration_ms\": {},\n  \"idle_spin_cpu_ns\": {},\n  \"idle_adaptive_cpu_ns\": {},\n  \"idle_duty\": {:.6},\n  \"idle_parks\": {},\n  \"idle_wakes\": {},\n  \"loaded_spin_p99_ns\": {},\n  \"loaded_adaptive_p99_ns\": {},\n  \"loaded_p99_ratio\": {:.4},\n  \"fixed_batch\": [\n{}\n  ],\n  \"auto_iops\": {:.0},\n  \"auto_retunes\": {},\n  \"auto_vs_best_fixed\": {:.4}\n}}\n",
+        "{{\n  \"duration_ms\": {},\n  \"idle_spin_cpu_ns\": {},\n  \"idle_adaptive_cpu_ns\": {},\n  \"idle_duty\": {:.6},\n  \"idle_parks\": {},\n  \"idle_wakes\": {},\n  \"loaded_spin_p99_ns\": {},\n  \"loaded_adaptive_p99_ns\": {},\n  \"loaded_p99_ratio\": {:.4}\n}}\n",
         window / MS,
         spin_idle.router_cpu,
         adaptive_idle.router_cpu,
@@ -418,11 +361,7 @@ fn main() {
         adaptive_idle.wakes,
         spin_loaded.p99_ns,
         adaptive_loaded.p99_ns,
-        p99_ratio,
-        fixed_lines.join(",\n"),
-        auto.iops,
-        auto.retunes,
-        auto_ratio
+        p99_ratio
     );
     std::fs::write("BENCH_adaptive.json", &json).expect("write BENCH_adaptive.json");
     println!("{json}");

@@ -216,11 +216,13 @@ pub enum BoxKind {
 pub struct PolicySummary {
     /// Poll policy rendering (e.g. `spin`, `adaptive(idle_spin=…)`).
     pub poll: String,
-    /// Batch policy rendering (e.g. `fixed(32)`, `auto(4..256)`).
+    /// Batch rendering (e.g. `fixed(32)`; bundles from engines that had
+    /// the auto-tuner may hold `auto(4..256)`).
     pub batch: String,
-    /// Placement policy rendering.
+    /// Placement rendering: `round_robin` from current engines, which
+    /// number shards instead of pinning them.
     pub placement: String,
-    /// Worker threads per shard station.
+    /// Worker threads per shard station: 1 from current engines.
     pub workers: u32,
 }
 

@@ -8,7 +8,7 @@
 
 use crate::bundle::{DumpBundle, PolicySummary, TriggerReason};
 use crate::recorder::Blackbox;
-use nvmetro_core::{BatchPolicy, Engine, EnginePolicy, EngineStats, PlacementPolicy, PollPolicy};
+use nvmetro_core::{Engine, EnginePolicy, EngineStats, PollPolicy};
 use nvmetro_insight::{BreakerGauge, EngineGauges, TenantGauge};
 use nvmetro_sim::Ns;
 use nvmetro_telemetry::Telemetry;
@@ -19,7 +19,9 @@ pub fn engine_gauges(stats: &EngineStats) -> EngineGauges {
     EngineGauges {
         poll_modes: stats.poll_modes.iter().map(|m| m.name()).collect(),
         batch_sizes: stats.batch_sizes.clone(),
-        shard_cores: stats.shard_cores.clone(),
+        // Shards are not pinned: shard i reports core i, as the
+        // round-robin numbering the NVBB gauge block records always did.
+        shard_cores: (0..stats.batch_sizes.len()).collect(),
         occupancy: stats.occupancy,
         high_water: stats.high_water,
         tenants: stats
@@ -47,7 +49,9 @@ pub fn engine_gauges(stats: &EngineStats) -> EngineGauges {
     }
 }
 
-/// Renders the active [`EnginePolicy`] to the bundle's string form.
+/// Renders the active [`EnginePolicy`] to the bundle's string form. The
+/// bundle's `placement` and `workers` fields keep the values every engine
+/// runs with: round-robin shard numbering and one worker per shard.
 pub fn policy_summary(p: &EnginePolicy) -> PolicySummary {
     PolicySummary {
         poll: match p.poll {
@@ -57,15 +61,9 @@ pub fn policy_summary(p: &EnginePolicy) -> PolicySummary {
                 park_after,
             } => format!("adaptive(idle_spin={idle_spin}ns, park_after={park_after}ns)"),
         },
-        batch: match p.batch {
-            BatchPolicy::Fixed(n) => format!("fixed({n})"),
-            BatchPolicy::Auto { min, max } => format!("auto({min}..{max})"),
-        },
-        placement: match &p.placement {
-            PlacementPolicy::RoundRobin => "round_robin".to_string(),
-            PlacementPolicy::Affine(_) => "affine".to_string(),
-        },
-        workers: p.workers as u32,
+        batch: format!("fixed({})", p.batch),
+        placement: "round_robin".to_string(),
+        workers: 1,
     }
 }
 
@@ -102,11 +100,10 @@ mod tests {
                 idle_spin: 8_000,
                 park_after: 64_000,
             },
-            batch: BatchPolicy::Auto { min: 4, max: 256 },
-            ..EnginePolicy::default()
+            batch: 16,
         };
         let s = policy_summary(&p);
         assert!(s.poll.starts_with("adaptive("));
-        assert_eq!(s.batch, "auto(4..256)");
+        assert_eq!(s.batch, "fixed(16)");
     }
 }

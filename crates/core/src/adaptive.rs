@@ -1,10 +1,8 @@
-//! Self-tuning datapath controllers: the poll governor and the batch
-//! auto-tuner.
+//! The self-tuning poll governor.
 //!
-//! Both are per-shard, allocation-free state machines fed from the
-//! router's poll loop; neither reads the global telemetry registry (which
-//! may be disabled), they track the same signals — arrival gaps, SQ burst
-//! sizes, table occupancy — locally.
+//! A per-shard, allocation-free state machine fed from the router's poll
+//! loop; it does not read the global telemetry registry (which may be
+//! disabled) but tracks arrival gaps locally.
 //!
 //! The **governor** ([`PollGovernor`]) reproduces the paper's adaptive
 //! polling (busy-poll ⇄ epoll): a shard spins at full rate for a window
@@ -13,13 +11,8 @@
 //! doorbell kick modelled as a wakeup deadline. Arrival EWMAs pull the
 //! park point in when the observed inter-arrival gap says the queues have
 //! truly gone quiet.
-//!
-//! The **tuner** ([`BatchTuner`]) hill-climbs the per-shard batch bound:
-//! grow while SQ visits keep slamming into the cap, shrink when the batch
-//! is mostly head-room, and require two consecutive observation windows
-//! to agree before moving (hysteresis) so transient bursts don't wag it.
 
-use nvmetro_sim::{Ns, US};
+use nvmetro_sim::Ns;
 
 /// One shard's poll mode, as reported in `EngineStats`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -253,124 +246,10 @@ impl PollGovernor {
     }
 }
 
-/// How often the tuner re-evaluates the batch size.
-const RETUNE_INTERVAL: Ns = 100 * US;
-
-/// Consecutive agreeing windows required before a move.
-const RETUNE_STREAK: u8 = 2;
-
-/// Hill-climbing controller for the per-shard batch bound.
-pub struct BatchTuner {
-    min: usize,
-    max: usize,
-    current: usize,
-    window_start: Ns,
-    visits: u64,
-    capped: u64,
-    drained: u64,
-    last_dir: i8,
-    streak: u8,
-    retunes: u64,
-}
-
-impl BatchTuner {
-    /// A tuner starting at `min` (growth is cheap to earn, shrink needs
-    /// evidence).
-    pub fn new(min: usize, max: usize) -> Self {
-        let min = min.max(1);
-        let max = max.max(min);
-        BatchTuner {
-            min,
-            max,
-            current: min,
-            window_start: 0,
-            visits: 0,
-            capped: 0,
-            drained: 0,
-            last_dir: 0,
-            streak: 0,
-            retunes: 0,
-        }
-    }
-
-    /// The currently selected batch size.
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
-    /// Times the tuner has moved the batch size.
-    pub fn retunes(&self) -> u64 {
-        self.retunes
-    }
-
-    /// Records one SQ visit: how many entries it drained and whether it
-    /// hit the cap (the local equivalent of the SqBurst histogram).
-    pub fn record_visit(&mut self, drained: u64, batch: usize) {
-        self.visits += 1;
-        self.drained += drained;
-        if drained as usize >= batch {
-            self.capped += 1;
-        }
-    }
-
-    /// Closes the observation window if due and returns the new batch
-    /// size when the hill-climb moves. `occupancy`/`capacity` guard
-    /// growth: doubling the drain bound against a near-full routing table
-    /// only queues work behind the full table.
-    pub fn maybe_retune(&mut self, now: Ns, occupancy: usize, capacity: usize) -> Option<usize> {
-        if now.saturating_sub(self.window_start) < RETUNE_INTERVAL {
-            return None;
-        }
-        let (visits, capped, drained) = (self.visits, self.capped, self.drained);
-        self.visits = 0;
-        self.capped = 0;
-        self.drained = 0;
-        self.window_start = now;
-        if visits == 0 {
-            // A window with no SQ visits carries no evidence in either
-            // direction: skip it rather than let quiet spells reset the
-            // hysteresis streak a bursty workload is building up.
-            return None;
-        }
-        let mut dir: i8 = if capped * 2 > visits && self.current < self.max {
-            1
-        } else if capped == 0
-            && drained * 4 < visits * self.current as u64
-            && self.current > self.min
-        {
-            -1
-        } else {
-            0
-        };
-        if dir > 0 && occupancy.saturating_mul(2) >= capacity.max(1) {
-            dir = 0;
-        }
-        if dir != 0 && dir == self.last_dir {
-            self.streak += 1;
-        } else {
-            self.streak = u8::from(dir != 0);
-        }
-        self.last_dir = dir;
-        if dir != 0 && self.streak >= RETUNE_STREAK {
-            self.streak = 0;
-            let next = if dir > 0 {
-                (self.current * 2).min(self.max)
-            } else {
-                (self.current / 2).max(self.min)
-            };
-            if next != self.current {
-                self.current = next;
-                self.retunes += 1;
-                return Some(next);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvmetro_sim::US;
 
     #[test]
     fn governor_walks_spin_yield_park_and_burns_accordingly() {
@@ -444,59 +323,5 @@ mod tests {
         g2.begin_poll(base + 6 * US);
         g2.end_poll(base + 6 * US, false);
         assert_eq!(g2.mode(), PollMode::Spin, "6 µs is within spin window");
-    }
-
-    #[test]
-    fn tuner_grows_under_capped_visits_with_hysteresis() {
-        let mut t = BatchTuner::new(4, 64);
-        assert_eq!(t.current(), 4);
-        // One capped window is not enough (hysteresis).
-        for _ in 0..10 {
-            t.record_visit(4, 4);
-        }
-        assert_eq!(t.maybe_retune(RETUNE_INTERVAL, 0, 1024), None);
-        for _ in 0..10 {
-            t.record_visit(4, 4);
-        }
-        assert_eq!(t.maybe_retune(2 * RETUNE_INTERVAL, 0, 1024), Some(8));
-        assert_eq!(t.current(), 8);
-        assert_eq!(t.retunes(), 1);
-    }
-
-    #[test]
-    fn tuner_shrinks_oversized_batch_and_respects_min() {
-        let mut t = BatchTuner::new(4, 64);
-        t.current = 64;
-        let mut now = 0;
-        for _ in 0..4 {
-            now += RETUNE_INTERVAL;
-            for _ in 0..10 {
-                t.record_visit(2, 64); // 2/64 fill, never capped
-            }
-            t.maybe_retune(now, 0, 1024);
-        }
-        assert!(t.current() < 64, "sustained under-fill shrinks");
-        for _ in 0..20 {
-            now += RETUNE_INTERVAL;
-            for _ in 0..10 {
-                t.record_visit(0, t.current());
-            }
-            t.maybe_retune(now, 0, 1024);
-        }
-        assert!(t.current() >= 4, "never below min");
-    }
-
-    #[test]
-    fn tuner_growth_blocked_by_full_table() {
-        let mut t = BatchTuner::new(4, 64);
-        let mut now = 0;
-        for _ in 0..4 {
-            now += RETUNE_INTERVAL;
-            for _ in 0..10 {
-                t.record_visit(4, 4);
-            }
-            assert_eq!(t.maybe_retune(now, 600, 1024), None);
-        }
-        assert_eq!(t.current(), 4, "near-full table blocks growth");
     }
 }

@@ -140,9 +140,8 @@ pub struct RouterBuilder {
 
 impl RouterBuilder {
     /// Starts a builder with the defaults: one shard, the default
-    /// [`EnginePolicy`] (always-spin polling, fixed batch, round-robin
-    /// placement, one worker), a 1024-entry routing table, no recovery,
-    /// disabled telemetry.
+    /// [`EnginePolicy`] (always-spin polling, the default batch), a
+    /// 1024-entry routing table, no recovery, disabled telemetry.
     pub fn new(name: &str) -> Self {
         RouterBuilder {
             name: name.to_string(),
@@ -171,10 +170,9 @@ impl RouterBuilder {
         self
     }
 
-    /// The engine's datapath policy in one typed value: poll governor,
-    /// batch sizing, shard placement, and per-shard workers. Replaces the
-    /// old scalar `workers`/`batch` knobs; the policy survives servicing
-    /// snapshot/restore and reshard.
+    /// The engine's datapath policy in one typed value: poll governor and
+    /// batch bound. The policy survives servicing snapshot/restore and
+    /// reshard.
     pub fn policy(mut self, policy: EnginePolicy) -> Self {
         self.policy = policy;
         self
@@ -313,12 +311,8 @@ pub struct EngineStats {
     /// Each shard's poll-governor mode at snapshot time, in shard order
     /// ([`PollMode::Spin`] everywhere when the poll policy is `Spin`).
     pub poll_modes: Vec<PollMode>,
-    /// Each shard's batch bound currently in force, in shard order (moves
-    /// under [`BatchPolicy::Auto`], constant under `Fixed`).
+    /// Each shard's batch bound, in shard order.
     pub batch_sizes: Vec<usize>,
-    /// Core each shard is pinned to by the placement policy, in shard
-    /// order.
-    pub shard_cores: Vec<usize>,
 }
 
 impl EngineStats {
@@ -388,9 +382,6 @@ impl EngineStats {
 /// (servicing), and the counters carried over from pre-restore epochs.
 pub struct Engine {
     shards: Vec<Router>,
-    /// Core each shard is pinned to, per the placement policy (identity
-    /// order for [`PlacementPolicy::RoundRobin`](crate::policy::PlacementPolicy)).
-    shard_cores: Vec<usize>,
     placements: Vec<Placement>,
     spec: EngineSpec,
     /// Global queue-group counter: hot attach continues the round-robin
@@ -430,11 +421,6 @@ impl Engine {
     /// servicing restore.
     fn assemble(spec: EngineSpec, vms: Vec<EngineVm>, generation: u32) -> Engine {
         let shard_count = spec.shards;
-        // Placement decides both where each shard runs (core pinning,
-        // surfaced via `shard_cores`) and what it costs it to field device
-        // completions from there (cross-NUMA penalty folded into the
-        // shard's completion cost).
-        let (shard_cores, penalties) = spec.policy.placement.place(shard_count);
         let shards: Vec<Router> = (0..shard_count)
             .map(|i| {
                 // A single-shard engine keeps the bare name so CPU reports
@@ -444,13 +430,8 @@ impl Engine {
                 } else {
                     format!("{}.{}", spec.name, i)
                 };
-                let mut r = Router::new(
-                    &name,
-                    spec.cost.clone(),
-                    spec.policy.workers,
-                    spec.table_capacity,
-                );
-                r.configure_policy(&spec.policy, penalties[i]);
+                let mut r = Router::new(&name, spec.cost.clone(), spec.table_capacity);
+                r.configure_policy(&spec.policy);
                 // Named registration: the worker id stamped into this
                 // shard's trace events maps back to the shard name in
                 // snapshots and trace exports (one Chrome "process" per
@@ -472,7 +453,6 @@ impl Engine {
         let svc = spec.telemetry.register_worker_named("servicing");
         let mut engine = Engine {
             shards,
-            shard_cores,
             placements: Vec::new(),
             spec,
             next_group: 0,
@@ -576,7 +556,6 @@ impl Engine {
             stats.poll_modes.push(snap.poll_mode);
             stats.batch_sizes.push(snap.batch);
         }
-        stats.shard_cores = self.shard_cores.clone();
         stats
     }
 
@@ -584,11 +563,6 @@ impl Engine {
     /// a restored or resharded engine reports the snapshot's policy).
     pub fn policy(&self) -> &EnginePolicy {
         &self.spec.policy
-    }
-
-    /// Core each shard is pinned to, per the placement policy.
-    pub fn shard_cores(&self) -> &[usize] {
-        &self.shard_cores
     }
 
     /// Virtual-time deployment: hands every shard to the discrete-event
@@ -857,7 +831,7 @@ impl Engine {
         }
         parts.spec.shards = shards.max(1);
         // The snapshot's policy is authoritative: a restore on a different
-        // host (or after a reshard) keeps the poll/batch/placement policy
+        // host (or after a reshard) keeps the poll/batch policy
         // the tenant was admitted under.
         parts.spec.policy = state.policy;
         let generation = state.generation.wrapping_add(1).max(1);

@@ -260,7 +260,7 @@ mod tests {
         let (hsq_p, hsq_c) = SqPair::new(64);
         let (hcq_p, hcq_c) = CqPair::new(64);
         ssd.add_queue(hsq_c, hcq_p, mem.clone(), CompletionMode::Polled);
-        let mut router = Router::new("router", CostModel::default(), 1, 64);
+        let mut router = Router::new("router", CostModel::default(), 64);
         router.bind_vm(VmBinding {
             vm_id: 0,
             mem,
@@ -315,7 +315,7 @@ mod tests {
         let (hsq_p, hsq_c) = SqPair::new(64);
         let (hcq_p, hcq_c) = CqPair::new(64);
         ssd.add_queue(hsq_c, hcq_p, mem.clone(), CompletionMode::Polled);
-        let mut router = Router::new("router", CostModel::default(), 1, 64);
+        let mut router = Router::new("router", CostModel::default(), 64);
         router.bind_vm(VmBinding {
             vm_id: 0,
             mem,

@@ -40,7 +40,7 @@ pub mod servicing;
 pub mod threading;
 pub mod uif;
 
-pub use adaptive::{BatchTuner, GovernorCounters, PollGovernor, PollMode};
+pub use adaptive::{GovernorCounters, PollGovernor, PollMode};
 pub use classify::{
     offset_program, partition_offset_program, passthrough_program, Classifier, ClassifyOutcome,
     MediatedFields, NativeClassifier, RequestCtx, Verdict, CTX_SIZE, HOOK_HCQ, HOOK_KCQ, HOOK_NCQ,
@@ -52,7 +52,7 @@ pub use engine::{
     RouterBuilder, TenantState,
 };
 pub use guest::{GuestDriver, GuestError, GuestInfo};
-pub use policy::{BatchPolicy, EnginePolicy, PlacementPolicy, PollPolicy};
+pub use policy::{EnginePolicy, PollPolicy};
 pub use recovery::{BreakerSnap, CircuitBreaker, Gate, RecoveryConfig};
 pub use router::{KernelPath, Router, RouterStats, ShardSnapshot, VmBinding};
 pub use routing::RoutingTable;

@@ -1,29 +1,19 @@
 //! The typed datapath policy surface.
 //!
-//! `RouterBuilder` grew one scalar knob per PR (`shards`, `workers`,
-//! `batch`, ...) and the flat integers can't express the adaptive
-//! behaviours the paper's UIF framework actually ships: busy-poll ⇄ park
-//! hybrids, self-tuned batching, placement-aware shards. [`EnginePolicy`]
-//! replaces the scalars with three typed axes:
+//! [`EnginePolicy`] holds the two datapath axes a shard is configured
+//! with:
 //!
 //! * [`PollPolicy`] — how a shard spends idle cycles. `Spin` is the
 //!   legacy unconditional busy-poll; `Adaptive` runs the poll governor
-//!   (Spin → Yield → Parked as the shard goes idle, doorbell-kicked back).
-//! * [`BatchPolicy`] — the per-SQ-visit drain bound and CQ-coalescing
-//!   unit. `Fixed(n)` is the old `batch(n)` knob; `Auto` hill-climbs the
-//!   size per shard from observed SQ burst/occupancy signals.
-//! * [`PlacementPolicy`] — where shards run. `RoundRobin` numbers cores
-//!   1:1 with shards (no NUMA model); `Affine` consults a
-//!   [`Topology`] so off-node shards pay a cross-node completion penalty
-//!   and `reshard()` re-places.
+//!   (Spin → Yield → Parked as the shard goes idle, doorbell-kicked back),
+//!   the busy-poll ⇄ epoll switch the paper's router and UIFs use.
+//! * `batch` — the per-SQ-visit drain bound and CQ-coalescing unit.
 //!
 //! Policies are plain `Copy` data: they travel through `EngineSpec` into
-//! every shard, survive `ServiceState` snapshot/restore/reshard, and the
-//! old `RouterBuilder::{batch, workers}` knobs remain one release as
-//! `#[deprecated]` shims mapping onto these types.
+//! every shard and survive `ServiceState` snapshot/restore/reshard.
 
 use crate::router::DEFAULT_BATCH;
-use nvmetro_sim::{Ns, Topology, US};
+use nvmetro_sim::{Ns, US};
 
 /// How a shard spends cycles when its queues go quiet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -56,114 +46,31 @@ impl PollPolicy {
     }
 }
 
-/// Entries drained per SQ visit / CQEs coalesced per doorbell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// A hand-tuned constant (the old `batch(n)` knob).
-    Fixed(usize),
-    /// Per-shard hill-climb between `min` and `max`, driven by the same
-    /// SQ-burst/table-occupancy signals the telemetry histograms record:
-    /// grow while visits keep hitting the cap, shrink when the batch is
-    /// padded air, two agreeing observation windows before any move.
-    Auto {
-        /// Smallest batch the tuner may select (≥ 1).
-        min: usize,
-        /// Largest batch the tuner may select.
-        max: usize,
-    },
-}
-
-impl BatchPolicy {
-    /// The auto preset: walk between 4 and 256.
-    pub fn auto() -> Self {
-        BatchPolicy::Auto { min: 4, max: 256 }
-    }
-
-    /// The batch size a fresh shard starts at.
-    pub(crate) fn initial(&self) -> usize {
-        match *self {
-            BatchPolicy::Fixed(n) => n.max(1),
-            BatchPolicy::Auto { min, max } => min.clamp(1, max.max(1)),
-        }
-    }
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::Fixed(DEFAULT_BATCH)
-    }
-}
-
-/// Shard → core pinning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Shard *i* runs on core *i* — the flat pre-NUMA model, no
-    /// completion penalties anywhere.
-    #[default]
-    RoundRobin,
-    /// Place shards onto the topology's cores (heaviest-first, device
-    /// node preferred); shards landing off the device node pay the
-    /// topology's cross-node completion penalty per reaped device CQE.
-    Affine(Topology),
-}
-
-impl PlacementPolicy {
-    /// Computes the core per shard and that core's per-completion
-    /// penalty, in shard order.
-    pub fn place(&self, shards: usize) -> (Vec<usize>, Vec<Ns>) {
-        match self {
-            PlacementPolicy::RoundRobin => ((0..shards).collect(), vec![0; shards]),
-            PlacementPolicy::Affine(t) => {
-                let cores = t.place(&vec![1u64; shards]);
-                let penalties = cores.iter().map(|&c| t.completion_penalty(c)).collect();
-                (cores, penalties)
-            }
-        }
-    }
-}
-
 /// The engine's complete datapath policy: one value, threaded through
 /// `RouterBuilder::policy`, `EngineSpec`, and `ServiceState`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EnginePolicy {
     /// Idle-cycle behaviour per shard.
     pub poll: PollPolicy,
-    /// SQ drain / CQ coalescing bound per shard.
-    pub batch: BatchPolicy,
-    /// Shard → core pinning.
-    pub placement: PlacementPolicy,
-    /// Worker threads modelled inside each shard's station (the paper's
-    /// scalability evaluation uses one).
-    pub workers: usize,
+    /// Entries drained per SQ visit and CQEs coalesced per doorbell, per
+    /// shard (a shard treats 0 as 1).
+    pub batch: usize,
 }
 
 impl Default for EnginePolicy {
     fn default() -> Self {
         EnginePolicy {
             poll: PollPolicy::default(),
-            batch: BatchPolicy::default(),
-            placement: PlacementPolicy::default(),
-            workers: 1,
+            batch: DEFAULT_BATCH,
         }
     }
 }
 
 impl EnginePolicy {
-    /// The defaults: spin, fixed [`DEFAULT_BATCH`], round-robin cores,
-    /// one worker — bit-for-bit the pre-policy engine.
+    /// The defaults: spin and [`DEFAULT_BATCH`] — bit-for-bit the
+    /// pre-policy engine.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The fully adaptive preset: governor polling, auto batch, affine
-    /// placement on the default topology.
-    pub fn adaptive() -> Self {
-        EnginePolicy {
-            poll: PollPolicy::adaptive(),
-            batch: BatchPolicy::auto(),
-            placement: PlacementPolicy::Affine(Topology::default()),
-            workers: 1,
-        }
     }
 
     /// Sets the poll policy.
@@ -172,21 +79,9 @@ impl EnginePolicy {
         self
     }
 
-    /// Sets the batch policy.
-    pub fn batch(mut self, batch: BatchPolicy) -> Self {
+    /// Sets the batch bound.
+    pub fn batch(mut self, batch: usize) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// Sets the placement policy.
-    pub fn placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// Sets the modelled worker count per shard (≥ 1).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 }
@@ -199,31 +94,6 @@ mod tests {
     fn defaults_reproduce_legacy_knobs() {
         let p = EnginePolicy::default();
         assert_eq!(p.poll, PollPolicy::Spin);
-        assert_eq!(p.batch.initial(), DEFAULT_BATCH);
-        assert_eq!(p.workers, 1);
-        let (cores, penalties) = p.placement.place(3);
-        assert_eq!(cores, vec![0, 1, 2]);
-        assert!(penalties.iter().all(|&p| p == 0));
-    }
-
-    #[test]
-    fn affine_placement_charges_remote_shards() {
-        let topo = Topology {
-            nodes: 2,
-            cores_per_node: 2,
-            device_node: 0,
-            cross_penalty: 500,
-        };
-        let (cores, penalties) = PlacementPolicy::Affine(topo).place(4);
-        assert_eq!(cores.len(), 4);
-        // Two shards fit on the device node, two pay the penalty.
-        assert_eq!(penalties.iter().filter(|&&p| p == 0).count(), 2);
-        assert_eq!(penalties.iter().filter(|&&p| p == 500).count(), 2);
-    }
-
-    #[test]
-    fn auto_batch_starts_at_min() {
-        assert_eq!(BatchPolicy::auto().initial(), 4);
-        assert_eq!(BatchPolicy::Fixed(0).initial(), 1);
+        assert_eq!(p.batch, DEFAULT_BATCH);
     }
 }

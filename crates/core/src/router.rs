@@ -19,13 +19,13 @@
 //! Only the 64-byte command block moves between queues; data pages stay in
 //! guest memory.
 
-use crate::adaptive::{BatchTuner, GovernorCounters, PollGovernor, PollMode};
+use crate::adaptive::{GovernorCounters, PollGovernor, PollMode};
 use crate::classify::{
     path_bits, verdict_bits, Classifier, MediatedFields, NativeClassifier, RequestCtx, Verdict,
     HOOK_HCQ, HOOK_KCQ, HOOK_NCQ, HOOK_VSQ,
 };
 use crate::controller::Partition;
-use crate::policy::{BatchPolicy, EnginePolicy, PollPolicy};
+use crate::policy::{EnginePolicy, PollPolicy};
 use crate::recovery::{BreakerSnap, CircuitBreaker, Gate, RecoveryConfig};
 use crate::routing::{RequestState, RoutingTable};
 use nvmetro_fleet::{
@@ -292,8 +292,6 @@ pub struct Router {
     vm_work: Vec<usize>,
     /// Poll governor (None = unconditional busy-poll, the legacy mode).
     governor: Option<PollGovernor>,
-    /// Batch auto-tuner (None = the batch bound is fixed).
-    tuner: Option<BatchTuner>,
     /// Per-VM-slot arrival tracking, parallel to `vms`: timestamp of the
     /// last VSQ drain that produced work and the EWMA of the gaps between
     /// them. The hottest queue's EWMA feeds the governor's park decision.
@@ -303,9 +301,6 @@ pub struct Router {
     min_gap: Option<Option<Ns>>,
     /// Wakeup latency owed to the first station push after a park exit.
     pending_wake_debt: Ns,
-    /// Extra cost per reaped device completion when this shard is pinned
-    /// off the device's NUMA node (PlacementPolicy::Affine).
-    completion_penalty: Ns,
     /// Stage-coverage audit (debug builds only): sequence numbers that
     /// already emitted their terminal `VcqComplete`, to debug-assert that
     /// no request terminates twice.
@@ -314,16 +309,16 @@ pub struct Router {
 }
 
 impl Router {
-    /// Creates an empty router. `workers` models the number of worker
-    /// threads sharing the routing work (the paper's scalability evaluation
-    /// uses one); `table_capacity` bounds concurrent in-flight requests.
-    pub fn new(name: &str, cost: CostModel, workers: usize, table_capacity: usize) -> Self {
+    /// Creates an empty router served by one worker thread, as in the
+    /// paper's scalability evaluation; `table_capacity` bounds concurrent
+    /// in-flight requests.
+    pub fn new(name: &str, cost: CostModel, table_capacity: usize) -> Self {
         Router {
             name: name.to_string(),
             cost,
             vms: Vec::new(),
             table: RoutingTable::new(table_capacity),
-            station: Station::new(workers.max(1)),
+            station: Station::new(1),
             kernel_out: Vec::new(),
             batch: DEFAULT_BATCH,
             cq_batch: Vec::new(),
@@ -354,11 +349,9 @@ impl Router {
             vm_admitting: Vec::new(),
             vm_work: Vec::new(),
             governor: None,
-            tuner: None,
             arrivals: Vec::new(),
             min_gap: Some(None),
             pending_wake_debt: 0,
-            completion_penalty: 0,
             #[cfg(debug_assertions)]
             finished_seqs: std::collections::HashSet::new(),
         }
@@ -427,15 +420,10 @@ impl Router {
     }
 
     /// Applies the engine's typed policy to this shard: poll governor on
-    /// or off, batch fixed or auto-tuned, and the placement's per-device-
-    /// completion penalty for a shard pinned off the device's NUMA node
-    /// (configured via `RouterBuilder::policy`).
-    pub(crate) fn configure_policy(&mut self, policy: &EnginePolicy, completion_penalty: Ns) {
-        self.batch = policy.batch.initial();
-        self.tuner = match policy.batch {
-            BatchPolicy::Auto { min, max } => Some(BatchTuner::new(min, max)),
-            BatchPolicy::Fixed(_) => None,
-        };
+    /// or off, and the batch bound (configured via
+    /// `RouterBuilder::policy`).
+    pub(crate) fn configure_policy(&mut self, policy: &EnginePolicy) {
+        self.batch = policy.batch.max(1);
         self.governor = match policy.poll {
             PollPolicy::Spin => None,
             PollPolicy::Adaptive {
@@ -447,7 +435,6 @@ impl Router {
                 self.cost.adaptive_wakeup,
             )),
         };
-        self.completion_penalty = completion_penalty;
     }
 
     /// The shard's current poll mode (Spin without a governor).
@@ -459,11 +446,6 @@ impl Router {
     /// (0 without a governor: the executor accounts idle burn instead).
     pub fn governor_burn(&self) -> Ns {
         self.governor.as_ref().map_or(0, |g| g.burn())
-    }
-
-    /// Batch-size moves the auto-tuner has made (0 with a fixed batch).
-    pub fn batch_retunes(&self) -> u64 {
-        self.tuner.as_ref().map_or(0, |t| t.retunes())
     }
 
     /// Whether any guest-visible work is already waiting in this shard's
@@ -761,9 +743,6 @@ impl Router {
                 leftover |= drained == batch as u64;
                 if drained > 0 {
                     self.telemetry.depth(Depth::SqBurst, drained);
-                    if let Some(t) = &mut self.tuner {
-                        t.record_visit(drained, batch);
-                    }
                     vm_drained += drained;
                 }
             }
@@ -864,9 +843,6 @@ impl Router {
             bound_hit |= drained == batch;
             if drained > 0 {
                 self.telemetry.depth(Depth::SqBurst, drained);
-                if let Some(t) = &mut self.tuner {
-                    t.record_visit(drained, self.batch);
-                }
             }
         }
         // Every queue loop that stopped short of the bound stopped on an
@@ -890,15 +866,7 @@ impl Router {
             .get(tag)
             .map(|s| s.hooks & path != 0)
             .unwrap_or(false);
-        // A shard pinned off the device's NUMA node pays the cross-node
-        // penalty to reap a device CQE (remote cacheline + doorbell).
-        let affinity = if path == path_bits::HQ {
-            self.completion_penalty
-        } else {
-            0
-        };
         self.cost.router_cmd
-            + affinity
             + if classify {
                 self.cost.classifier_run
             } else {
@@ -1792,7 +1760,7 @@ pub struct ShardSnapshot {
     /// The shard's poll mode at the snapshot instant (Spin without a
     /// governor).
     pub poll_mode: PollMode,
-    /// The batch bound in force (auto-tuned shards move this at runtime).
+    /// The shard's batch bound.
     pub batch: usize,
 }
 
@@ -2237,16 +2205,6 @@ impl Actor for Router {
                     .add(Metric::ShardWakes, after.wakes - before.wakes);
                 self.telemetry
                     .tag_event(now, 0, Stage::ShardWake, PathKind::None);
-            }
-        }
-        // Batch auto-tune: close the observation window if due and adopt
-        // the hill-climb's pick.
-        let occupancy = self.table.in_flight();
-        let capacity = self.table.capacity();
-        if let Some(t) = &mut self.tuner {
-            if let Some(next) = t.maybe_retune(now, occupancy, capacity) {
-                self.batch = next;
-                self.telemetry.count(Metric::BatchRetunes);
             }
         }
         if progressed {

@@ -16,18 +16,18 @@
 //! versions it does not know — a servicing blob is either understood
 //! exactly or not at all.
 
-use crate::policy::{BatchPolicy, EnginePolicy, PlacementPolicy, PollPolicy};
+use crate::policy::{EnginePolicy, PollPolicy};
 use crate::recovery::BreakerSnap;
 use crate::router::RouterStats;
 use crate::routing::RequestState;
 use nvmetro_nvme::{Status, SubmissionEntry};
-use nvmetro_sim::Topology;
 
 /// Magic prefix of every serialized [`ServiceState`].
 pub const SERVICE_MAGIC: [u8; 4] = *b"NVMS";
 /// Current layout version (v2 added the [`EnginePolicy`] block after the
-/// shard count; v1 blobs are refused, not guessed at).
-pub const SERVICE_VERSION: u16 = 2;
+/// shard count; v3 cut that block to the poll policy and the batch bound.
+/// Older blobs are refused, not guessed at).
+pub const SERVICE_VERSION: u16 = 3;
 
 /// Why a servicing operation or deserialization failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -265,7 +265,7 @@ pub struct ServiceState {
     /// Shard count at snapshot time (informational; restore may differ).
     pub shards: u32,
     /// The datapath policy the engine ran under (poll governor, batch
-    /// tuning, placement, workers). The restore side applies it to the new
+    /// bound). The restore side applies it to the new
     /// engine, so tenants keep the policy they were admitted with across
     /// snapshot/restore and reshard.
     pub policy: EnginePolicy,
@@ -448,102 +448,36 @@ fn read_stats(r: &mut wire::Reader) -> Result<RouterStats, ServiceError> {
     })
 }
 
-// Policy wire block: each axis is a kind byte followed by fixed-width
-// parameters (zero-padded for parameterless kinds), so every v2 blob has
-// the same policy-block length regardless of which variants are in force.
+// Policy wire block: the poll kind byte, its two parameters (zero for
+// `Spin`), then the batch bound, so every v3 blob has the same
+// policy-block length whichever poll policy is in force.
 fn write_policy(w: &mut wire::Writer, p: &EnginePolicy) {
-    match p.poll {
-        PollPolicy::Spin => {
-            w.u8(0);
-            w.u64(0);
-            w.u64(0);
-        }
+    let (kind, a, b) = match p.poll {
+        PollPolicy::Spin => (0, 0, 0),
         PollPolicy::Adaptive {
             idle_spin,
             park_after,
-        } => {
-            w.u8(1);
-            w.u64(idle_spin);
-            w.u64(park_after);
-        }
-    }
-    match p.batch {
-        BatchPolicy::Fixed(n) => {
-            w.u8(0);
-            w.u64(n as u64);
-            w.u64(0);
-        }
-        BatchPolicy::Auto { min, max } => {
-            w.u8(1);
-            w.u64(min as u64);
-            w.u64(max as u64);
-        }
-    }
-    match p.placement {
-        PlacementPolicy::RoundRobin => {
-            w.u8(0);
-            for _ in 0..4 {
-                w.u64(0);
-            }
-        }
-        PlacementPolicy::Affine(t) => {
-            w.u8(1);
-            w.u64(t.nodes as u64);
-            w.u64(t.cores_per_node as u64);
-            w.u64(t.device_node as u64);
-            w.u64(t.cross_penalty);
-        }
-    }
-    w.u64(p.workers as u64);
+        } => (1, idle_spin, park_after),
+    };
+    w.u8(kind);
+    w.u64(a);
+    w.u64(b);
+    w.u64(p.batch as u64);
 }
 
 fn read_policy(r: &mut wire::Reader) -> Result<EnginePolicy, ServiceError> {
-    let poll = match r.u8()? {
-        0 => {
-            r.u64()?;
-            r.u64()?;
-            PollPolicy::Spin
-        }
+    let kind = r.u8()?;
+    let (a, b) = (r.u64()?, r.u64()?);
+    let poll = match kind {
+        0 => PollPolicy::Spin,
         1 => PollPolicy::Adaptive {
-            idle_spin: r.u64()?,
-            park_after: r.u64()?,
+            idle_spin: a,
+            park_after: b,
         },
         _ => return Err(ServiceError::Corrupt("unknown poll policy")),
     };
-    let batch = match r.u8()? {
-        0 => {
-            let n = r.u64()? as usize;
-            r.u64()?;
-            BatchPolicy::Fixed(n.max(1))
-        }
-        1 => BatchPolicy::Auto {
-            min: r.u64()? as usize,
-            max: r.u64()? as usize,
-        },
-        _ => return Err(ServiceError::Corrupt("unknown batch policy")),
-    };
-    let placement = match r.u8()? {
-        0 => {
-            for _ in 0..4 {
-                r.u64()?;
-            }
-            PlacementPolicy::RoundRobin
-        }
-        1 => PlacementPolicy::Affine(Topology {
-            nodes: (r.u64()? as usize).max(1),
-            cores_per_node: (r.u64()? as usize).max(1),
-            device_node: r.u64()? as usize,
-            cross_penalty: r.u64()?,
-        }),
-        _ => return Err(ServiceError::Corrupt("unknown placement policy")),
-    };
-    let workers = (r.u64()? as usize).max(1);
-    Ok(EnginePolicy {
-        poll,
-        batch,
-        placement,
-        workers,
-    })
+    let batch = (r.u64()? as usize).max(1);
+    Ok(EnginePolicy { poll, batch })
 }
 
 fn read_count(r: &mut wire::Reader) -> Result<usize, ServiceError> {
@@ -762,14 +696,7 @@ mod tests {
                     idle_spin: 8_000,
                     park_after: 64_000,
                 },
-                batch: BatchPolicy::Auto { min: 4, max: 256 },
-                placement: PlacementPolicy::Affine(Topology {
-                    nodes: 2,
-                    cores_per_node: 4,
-                    device_node: 1,
-                    cross_penalty: 1_200,
-                }),
-                workers: 2,
+                batch: 16,
             },
             next_seq: 1000,
             carried,
@@ -844,8 +771,9 @@ mod tests {
         assert_eq!(r.tenants, s.tenants);
     }
 
-    /// The NVMS v2 bytes of `sample_state()`: a change that moves them needs
-    /// a `SERVICE_VERSION` bump, not a new golden.
+    /// The NVMS v2 bytes of the v2 layout's sample state (adaptive poll,
+    /// auto batch, affine placement, two workers): a layout this version
+    /// no longer reads.
     const GOLDEN_V2_HEX: &str = "\
          4e564d530200040000000200000001401f00000000000000fa00000000000001\
          0400000000000000000100000000000001020000000000000004000000000000\
@@ -867,15 +795,48 @@ mod tests {
          0000000000d1097f33a54541e0\
          ";
 
-    #[test]
-    fn v2_bytes_match_the_committed_golden() {
-        let golden: Vec<u8> = (0..GOLDEN_V2_HEX.len())
+    /// The NVMS v3 bytes of `sample_state()`: a change that moves them needs
+    /// a `SERVICE_VERSION` bump, not a new golden.
+    const GOLDEN_V3_HEX: &str = "\
+         4e564d530300040000000200000001401f00000000000000fa00000000000010\
+         00000000000000e803000000000000d204000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000b0\
+         0400000000000000000000000000000000000000000000070000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000020000000000000060\
+         0000000000000002000000030000000000000009000000000000000100000000\
+         000000110003000000010002004d000200000001000000000000000000000000\
+         0000000000000000000000000000000000000000000000400000000000000007\
+         00000000000000000000000000000001000100002a0000000000000064000000\
+         00000000016e000000000000000000000000000000df03000000000000010000\
+         0088130000000000000100010000000000000000000004000000010000000000\
+         00001100611e0000000000000100000001000000000005000000010000000000\
+         00000140e20100000000000400000002000000000000000100000003000000f4\
+         01000058000000000000000c0000000000000044a3cdcc2591307e\
+         ";
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
             .step_by(2)
-            .map(|i| u8::from_str_radix(&GOLDEN_V2_HEX[i..i + 2], 16).unwrap())
-            .collect();
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn v3_bytes_match_the_committed_golden() {
+        let golden = unhex(GOLDEN_V3_HEX);
         assert_eq!(sample_state().to_bytes(), golden);
         let back = ServiceState::from_bytes(&golden).expect("golden decodes");
         assert_eq!(back.to_bytes(), golden);
+    }
+
+    #[test]
+    fn v2_golden_is_refused_with_a_version_error() {
+        assert_eq!(
+            ServiceState::from_bytes(&unhex(GOLDEN_V2_HEX)).unwrap_err(),
+            ServiceError::BadVersion(2)
+        );
     }
 
     #[test]

@@ -98,34 +98,38 @@ impl<'a> UifRequest<'a> {
         self.cmd.data_len()
     }
 
+    /// The guest pages the request's PRPs name for `len` bytes. The PRPs
+    /// come from the guest and nothing upstream walks them, so a bad one
+    /// is answered as the device answers it: `INVALID_FIELD`.
+    fn guest_segments(&self, len: usize) -> Result<Vec<(u64, usize)>, Status> {
+        prp_segments(self.mem, self.cmd.prp1, self.cmd.prp2, len).map_err(|_| Status::INVALID_FIELD)
+    }
+
     /// Gathers the request's guest data pages (empty in no-data
     /// performance runs).
-    pub fn read_guest(&self) -> Vec<u8> {
+    pub fn read_guest(&self) -> Result<Vec<u8>, Status> {
         if !self.transfer_data {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let len = self.data_len();
-        let segs = prp_segments(self.mem, self.cmd.prp1, self.cmd.prp2, len)
-            .expect("router-validated PRPs");
         let mut out = Vec::with_capacity(len);
-        for (gpa, l) in segs {
+        for (gpa, l) in self.guest_segments(len)? {
             out.extend(self.mem.read_vec(gpa, l));
         }
-        out
+        Ok(out)
     }
 
     /// Scatters `data` back into the request's guest pages.
-    pub fn write_guest(&self, data: &[u8]) {
+    pub fn write_guest(&self, data: &[u8]) -> Result<(), Status> {
         if !self.transfer_data {
-            return;
+            return Ok(());
         }
-        let segs = prp_segments(self.mem, self.cmd.prp1, self.cmd.prp2, data.len())
-            .expect("router-validated PRPs");
         let mut off = 0;
-        for (gpa, l) in segs {
+        for (gpa, l) in self.guest_segments(data.len())? {
             self.mem.write(gpa, &data[off..off + l]);
             off += l;
         }
+        Ok(())
     }
 
     /// Applies `f` to the guest data and writes it back (e.g. decryption
@@ -133,14 +137,15 @@ impl<'a> UifRequest<'a> {
     /// `do_read`). In place for the guest, not for the host: the data is
     /// gathered with [`UifRequest::read_guest`] (a `Vec` per PRP segment,
     /// copied into one buffer) and scattered with
-    /// [`UifRequest::write_guest`].
-    pub fn modify_guest(&self, f: impl FnOnce(&mut [u8])) {
+    /// [`UifRequest::write_guest`]. `f` does not run when the PRPs are
+    /// bad.
+    pub fn modify_guest(&self, f: impl FnOnce(&mut [u8])) -> Result<(), Status> {
         if !self.transfer_data {
-            return;
+            return Ok(());
         }
-        let mut data = self.read_guest();
+        let mut data = self.read_guest()?;
         f(&mut data);
-        self.write_guest(&data);
+        self.write_guest(&data)
     }
 
     /// The backend I/O handle (io_uring in the paper).

@@ -51,7 +51,7 @@ fn build_rig(classifier: Classifier, uif: Option<Box<dyn Uif>>, partition: Parti
     let (hcq_p, hcq_c) = CqPair::new(256);
     ssd.add_queue(hsq_c, hcq_p, mem.clone(), CompletionMode::Polled);
 
-    let mut router = Router::new("router", cost.clone(), 1, 1024);
+    let mut router = Router::new("router", cost.clone(), 1024);
     let mut ex = Executor::new();
 
     let notify = if let Some(uif) = uif {
@@ -253,7 +253,10 @@ impl Uif for XorUif {
     fn work(&mut self, req: &mut UifRequest<'_>) -> UifDisposition {
         match req.opcode() {
             Some(nvmetro_nvme::NvmOpcode::Write) => {
-                let mut data = req.read_guest();
+                let mut data = match req.read_guest() {
+                    Ok(data) => data,
+                    Err(status) => return UifDisposition::Respond(status),
+                };
                 for b in &mut data {
                     *b ^= self.key;
                 }
@@ -265,12 +268,15 @@ impl Uif for XorUif {
             }
             Some(nvmetro_nvme::NvmOpcode::Read) => {
                 // In-place transform of data the device already delivered.
-                req.modify_guest(|data| {
+                let done = req.modify_guest(|data| {
                     for b in data {
                         *b ^= self.key;
                     }
                 });
-                UifDisposition::Respond(Status::SUCCESS)
+                match done {
+                    Ok(()) => UifDisposition::Respond(Status::SUCCESS),
+                    Err(status) => UifDisposition::Respond(status),
+                }
             }
             _ => UifDisposition::Respond(Status::INVALID_OPCODE),
         }
@@ -407,7 +413,7 @@ fn on_the_fly_classifier_replacement() {
     let (hsq_p, hsq_c) = SqPair::new(64);
     let (hcq_p, hcq_c) = CqPair::new(64);
     ssd.add_queue(hsq_c, hcq_p, mem.clone(), CompletionMode::Polled);
-    let mut router = Router::new("router", cost, 1, 64);
+    let mut router = Router::new("router", cost, 64);
     let vm = router.bind_vm(VmBinding {
         vm_id: 0,
         mem: mem.clone(),

@@ -110,14 +110,19 @@ impl Uif for EncryptorUif {
                 // uif::do_read: iterate blocks from the device, decrypt
                 // in place, signal success.
                 self.reads += 1;
-                req.modify_guest(|data| self.decrypt(sector, data));
-                UifDisposition::Respond(Status::SUCCESS)
+                match req.modify_guest(|data| self.decrypt(sector, data)) {
+                    Ok(()) => UifDisposition::Respond(Status::SUCCESS),
+                    Err(status) => UifDisposition::Respond(status),
+                }
             }
             Some(NvmOpcode::Write) => {
                 // uif::do_write_async: encrypt into a temporary buffer,
                 // write to disk with io_uring, respond when that finishes.
                 self.writes += 1;
-                let mut data = req.read_guest();
+                let mut data = match req.read_guest() {
+                    Ok(data) => data,
+                    Err(status) => return UifDisposition::Respond(status),
+                };
                 self.encrypt(sector, &mut data);
                 let nlb = req.cmd.nlb();
                 let tag = req.tag;

@@ -173,7 +173,10 @@ impl Uif for ReplicatorUif {
     fn work(&mut self, req: &mut UifRequest<'_>) -> UifDisposition {
         match req.opcode() {
             Some(NvmOpcode::Write) => {
-                let data = req.read_guest();
+                let data = match req.read_guest() {
+                    Ok(data) => data,
+                    Err(status) => return UifDisposition::Respond(status),
+                };
                 let write = PendingWrite {
                     slba: req.cmd.slba(),
                     nlb: req.cmd.nlb(),

@@ -35,11 +35,18 @@ enum Function {
 }
 
 fn build(function: Function) -> Rig {
+    build_with(function, true)
+}
+
+/// `build` with the primary device's `move_data` chosen: a device that
+/// moves no bytes completes commands without walking their PRPs.
+fn build_with(function: Function, device_moves_data: bool) -> Rig {
     let cost = CostModel::default();
     let mut ssd = SimSsd::new(
         "ssd",
         SsdConfig {
             capacity_lbas: 1 << 20,
+            move_data: device_moves_data,
             ..Default::default()
         },
     );
@@ -121,7 +128,7 @@ fn build(function: Function) -> Rig {
     );
     ex.add(Box::new(runner));
 
-    let mut router = Router::new("router", cost, 1, 1024);
+    let mut router = Router::new("router", cost, 1024);
     router.bind_vm(VmBinding {
         vm_id: 0,
         mem: mem.clone(),
@@ -335,6 +342,47 @@ fn encryptor_refuses_reads_outside_the_partition() {
             "nothing read"
         );
     }
+}
+
+/// A command whose PRP1 is 0 names no guest page. Whichever of the
+/// device and the UIF walks it first answers `INVALID_FIELD`, exactly
+/// once, and nothing reaches the disk.
+fn null_prp_is_refused(mut rig: Rig, cmd: SubmissionEntry) {
+    let resident = rig.primary.resident_blocks();
+    assert_eq!(guest_submit(&mut rig, cmd), Status::INVALID_FIELD);
+    assert_eq!(rig.primary.resident_blocks(), resident, "nothing written");
+    if let Some(secondary) = &rig.secondary {
+        assert_eq!(secondary.resident_blocks(), 0, "nothing mirrored");
+    }
+}
+
+fn xts_encryptor() -> Function {
+    Function::Encryptor(CryptoBackend::Xts(Box::new(Xts::new(&[0x42u8; 64]))))
+}
+
+#[test]
+fn encryptor_refuses_a_write_with_a_null_prp() {
+    null_prp_is_refused(
+        build(xts_encryptor()),
+        SubmissionEntry::write(1, 100, 8, 0, 0),
+    );
+}
+
+/// A read goes to the device first; a device that walks the PRPs refuses
+/// it there, so this device moves no bytes and the UIF's decrypt step is
+/// the first to walk them.
+#[test]
+fn encryptor_refuses_a_read_with_a_null_prp() {
+    let rig = build_with(xts_encryptor(), false);
+    null_prp_is_refused(rig, SubmissionEntry::read(1, 100, 8, 0, 0));
+}
+
+#[test]
+fn replicator_refuses_a_write_with_a_null_prp() {
+    null_prp_is_refused(
+        build(Function::Replicator),
+        SubmissionEntry::write(1, 55, 2, 0, 0),
+    );
 }
 
 #[test]

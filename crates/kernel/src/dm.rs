@@ -300,14 +300,27 @@ impl KernelDm {
     /// Forwards an I/O to device port(s); for crypt writes the data has
     /// already been encrypted into `bounce`; crypt reads get a bounce
     /// buffer here so the device DMA lands in host memory before
-    /// decryption (dm-crypt's bounce-page behavior).
+    /// decryption (dm-crypt's bounce-page behavior). A request whose
+    /// remapped range does not fit below `u64::MAX` completes with
+    /// `LBA_OUT_OF_RANGE` and sends nothing.
     fn forward_to_device(&mut self, io: Io, bounce: Option<Bounce>) {
+        let Some(phys) = io
+            .req
+            .slba
+            .checked_add(self.offset())
+            .filter(|p| p.checked_add(io.req.nlb as u64).is_some())
+        else {
+            if let Some(b) = bounce {
+                self.pool.entry(b.pages).or_default().push(b);
+            }
+            self.done.push((io.req.user, Status::LBA_OUT_OF_RANGE));
+            return;
+        };
         let bounce = if bounce.is_none() && io.post_decrypt && self.xts.is_some() {
             Some(self.alloc_bounce(io.req.nlb as usize * LBA_SIZE))
         } else {
             bounce
         };
-        let phys = io.req.slba + self.offset();
         let legs: u8 = match (&self.config, io.req.write) {
             (DmConfig::Mirror { .. }, true) => 2,
             _ => 1,
@@ -657,6 +670,23 @@ mod tests {
         run(&mut r, &mut out, 1);
         assert_eq!(r.ssd.store().read_vec(7003, 1), data);
         assert!(r.ssd.store().read_vec(3, 1).iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn linear_refuses_a_remap_past_u64_max() {
+        let mut r = rig(|| DmConfig::Linear { offset: 8 }, false);
+        let (w, _) = make_req(&r, 1, true, u64::MAX - 3, &[0x44u8; 512]);
+        r.dm.submit(w, 0);
+        let mut out = Vec::new();
+        run(&mut r, &mut out, 1);
+        assert_eq!(out, vec![(1, Status::LBA_OUT_OF_RANGE)]);
+        // Let the device serve anything it was sent.
+        for _ in 0..100 {
+            let Some(t) = r.ssd.next_event() else { break };
+            r.ssd.poll(t);
+        }
+        assert_eq!(r.ssd.ios_served(), 0, "the device saw no command");
+        assert_eq!(r.ssd.store().resident_blocks(), 0);
     }
 
     #[test]

@@ -20,11 +20,9 @@ mod rng;
 mod station;
 mod thread;
 mod time;
-pub mod topology;
 
 pub use executor::{Actor, CpuMode, Executor, Progress, RunReport};
 pub use rng::SimRng;
 pub use station::Station;
 pub use thread::ActorThread;
 pub use time::{Ns, MS, SEC, US};
-pub use topology::Topology;

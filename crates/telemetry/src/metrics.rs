@@ -125,7 +125,9 @@ pub enum Metric {
     ShardParks = 49,
     /// Parked shards kicked awake (doorbell/notify or internal timer).
     ShardWakes = 50,
-    /// Batch auto-tuner moves (per-shard batch size changed).
+    /// Retired: counted batch auto-tuner moves, and the auto-tuner is
+    /// gone, so nothing increments it. It stays as the last ID because
+    /// [`Metric::COUNT`] sizes the NVBB counter block.
     BatchRetunes = 51,
 }
 

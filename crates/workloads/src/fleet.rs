@@ -90,10 +90,10 @@ pub struct FleetOptions {
     pub device_channels: usize,
     /// Device flash read latency (ns).
     pub device_read_lat: Ns,
-    /// Engine datapath policy (poll governor / batch tuning / placement).
-    /// The default keeps the legacy always-spin engine so calibrated
-    /// fleet figures are unchanged; a 1000-VM rig with mostly-idle
-    /// tenants is exactly where `EnginePolicy::adaptive()` pays.
+    /// Engine datapath policy (poll governor, batch bound). The default
+    /// keeps the legacy always-spin engine so calibrated fleet figures are
+    /// unchanged; a 1000-VM rig with mostly-idle tenants is exactly where
+    /// `PollPolicy::adaptive()` pays.
     pub policy: EnginePolicy,
 }
 

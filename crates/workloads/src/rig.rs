@@ -109,10 +109,10 @@ pub struct RigOptions {
     /// the groups round-robin across shards; `1` (default) reproduces the
     /// single-router wiring used by the calibrated figures.
     pub shards: usize,
-    /// Engine datapath policy: poll governor, batch sizing, placement,
-    /// workers. The default (`EnginePolicy::new()`) is the legacy
-    /// always-spin / fixed-batch / round-robin engine; pass
-    /// `EnginePolicy::adaptive()` for the self-tuning datapath.
+    /// Engine datapath policy: poll governor and batch bound. The default
+    /// (`EnginePolicy::new()`) is the legacy always-spin engine; set
+    /// `poll` to `PollPolicy::adaptive()` for the busy-poll ⇄ park
+    /// datapath.
     pub policy: EnginePolicy,
 }
 

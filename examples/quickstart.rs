@@ -7,7 +7,7 @@
 
 use nvmetro::core::classify::Classifier;
 use nvmetro::core::engine::RouterBuilder;
-use nvmetro::core::policy::{BatchPolicy, EnginePolicy, PollPolicy};
+use nvmetro::core::policy::{EnginePolicy, PollPolicy};
 use nvmetro::core::router::VmBinding;
 use nvmetro::core::{passthrough_program, Partition, VirtualController, VmConfig};
 use nvmetro::device::{CompletionMode, SimSsd, SsdConfig};
@@ -48,17 +48,13 @@ fn main() {
     //    dummy classifier — real, verified vbpf bytecode that returns
     //    SEND_HQ | WILL_COMPLETE_HQ. `shards(n)` would split queue groups
     //    across n router shards; one VM with one queue pair needs one.
-    //    The datapath knobs travel as one typed `EnginePolicy`: here the
-    //    poll governor parks the shard between requests (~0 idle CPU) and
-    //    the batch tuner sizes SQ drains itself. (The old scalar
-    //    `batch(n)`/`workers(n)` setters are deprecated shims onto this.)
+    //    The datapath knobs travel as one typed `EnginePolicy` (poll
+    //    policy and batch bound): here the poll governor parks the shard
+    //    between requests (~0 idle CPU) and the batch stays at its
+    //    default.
     let engine = RouterBuilder::new("router")
         .cost(CostModel::default())
-        .policy(
-            EnginePolicy::new()
-                .poll(PollPolicy::adaptive())
-                .batch(BatchPolicy::auto()),
-        )
+        .policy(EnginePolicy::new().poll(PollPolicy::adaptive()))
         .table_capacity(1024)
         .telemetry(&telemetry)
         .vm(VmBinding {

@@ -11,6 +11,7 @@ wider tolerances than virtual-time ones, which are deterministic.
 
 A report (or a metric) with no committed baseline is reported as new and
 skipped, so adding a bench does not require seeding its baseline by hand.
+A report or metric missing from the current run is a failure.
 """
 
 import json
@@ -42,10 +43,12 @@ METRICS = [
     ("BENCH_servicing.json", "reshard_drain_p99_ns", "lower", 0.15),
     ("BENCH_adaptive.json", "idle_duty", "lower", 0.15),
     ("BENCH_adaptive.json", "loaded_p99_ratio", "lower", 0.05),
-    ("BENCH_adaptive.json", "auto_vs_best_fixed", "higher", 0.05),
     ("BENCH_blackbox.json", "recorder_overhead.fraction", "lower", 1.00),
     ("BENCH_blackbox.json", "forest.link_coverage", "higher", 0.0),
 ]
+
+# What `resolve` raises when a path names nothing in the document.
+MISSING = (KeyError, IndexError, TypeError)
 
 PATH_PART = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)")
 
@@ -76,10 +79,14 @@ def main():
             print(f"FAIL  {fname}:{path}: bench did not write its report")
             failures += 1
             continue
+        except MISSING:
+            print(f"FAIL  {fname}:{path}: metric missing from the current report")
+            failures += 1
+            continue
         try:
             with open(f"{base_dir}/{fname}") as f:
                 base = resolve(json.load(f), path)
-        except (FileNotFoundError, KeyError):
+        except (FileNotFoundError, *MISSING):
             print(f"new   {fname}:{path} = {cur} (no committed baseline)")
             continue
         if base == 0:
@@ -96,7 +103,7 @@ def main():
         if verdict == "FAIL":
             failures += 1
     if failures:
-        print(f"perf gate: {failures} metric(s) regressed past tolerance")
+        print(f"perf gate: {failures} metric(s) missing or regressed past tolerance")
         sys.exit(1)
     print("perf gate: all headline metrics within tolerance")
 

@@ -1,7 +1,7 @@
 //! Adaptive-datapath integration: the poll governor's park/wake cycle
 //! against live doorbells, exactly-once delivery with parking enabled,
-//! auto-tuned batching against the best fixed setting, and the policy's
-//! survival through servicing (snapshot bytes, restore, reshard).
+//! and the policy's survival through servicing (snapshot bytes, restore,
+//! reshard).
 //!
 //! The invariants under test:
 //!
@@ -12,21 +12,19 @@
 //! * **Park/wake loses and reorders nothing** — across seeded arrival
 //!   patterns with long idle gaps, the adaptive engine delivers exactly
 //!   the same completion sequence as the always-spin engine.
-//! * **`BatchPolicy::Auto` keeps up with the best hand-tuned batch** at
-//!   QD 128 (within 5%), starting from the smallest setting.
 //! * **Policy round-trips through servicing** — the `EnginePolicy` an
 //!   engine was built with survives `ServiceState::to_bytes`/`from_bytes`
 //!   and governs the restored engine, including across a 2→4 reshard.
 
 use nvmetro::core::classify::{verdict_bits, Classifier, NativeClassifier, RequestCtx, Verdict};
 use nvmetro::core::engine::{Engine, EngineVm, QueueBinding, RouterBuilder};
-use nvmetro::core::policy::{BatchPolicy, EnginePolicy, PlacementPolicy, PollPolicy};
+use nvmetro::core::policy::{EnginePolicy, PollPolicy};
 use nvmetro::core::{Partition, PollMode, ServiceState};
 use nvmetro::device::{CompletionMode, SimSsd, SsdConfig};
 use nvmetro::mem::GuestMemory;
 use nvmetro::nvme::{CqConsumer, CqPair, SqPair, SqProducer, SubmissionEntry};
 use nvmetro::sim::cost::CostModel;
-use nvmetro::sim::{Actor, Executor, Ns, Progress, Topology, MS, US};
+use nvmetro::sim::{Actor, Ns, MS, US};
 use nvmetro::telemetry::{Metric, Telemetry};
 use std::sync::Arc;
 
@@ -282,106 +280,6 @@ fn park_wake_never_loses_or_reorders_completions() {
     }
 }
 
-/// Closed-loop QD-128 read generator over one queue pair: keeps `qd`
-/// outstanding until `total` ops have been submitted, then drains.
-struct Load {
-    sq: SqProducer,
-    cq: CqConsumer,
-    qd: usize,
-    outstanding: usize,
-    submitted: u64,
-    completed: u64,
-    total: u64,
-    next_cid: u16,
-    lba: u64,
-}
-
-impl Actor for Load {
-    fn name(&self) -> &str {
-        "load"
-    }
-    fn poll(&mut self, _now: Ns) -> Progress {
-        let mut progressed = false;
-        while let Some(cqe) = self.cq.pop() {
-            assert!(!cqe.status().is_error());
-            self.outstanding -= 1;
-            self.completed += 1;
-            progressed = true;
-        }
-        // Bursty refill: let half the window drain, then top back up to
-        // `qd` in one go — the doorbell pattern batched guests produce,
-        // and the shape where the SQ drain bound actually matters (a
-        // trickle of singleton arrivals never fills any batch).
-        if self.outstanding <= self.qd / 2 {
-            while self.outstanding < self.qd && self.submitted < self.total {
-                let mut cmd = SubmissionEntry::read(1, self.lba, 1, 0x1000, 0);
-                cmd.cid = self.next_cid;
-                if self.sq.push(cmd).is_err() {
-                    break;
-                }
-                self.next_cid = self.next_cid.wrapping_add(1);
-                self.lba = (self.lba + 8) % ((1 << 20) - 8);
-                self.outstanding += 1;
-                self.submitted += 1;
-                progressed = true;
-            }
-        }
-        if progressed {
-            Progress::Busy
-        } else {
-            Progress::Idle
-        }
-    }
-    fn next_event(&self) -> Option<Ns> {
-        None
-    }
-}
-
-/// Virtual time to push `total` QD-128 reads through a one-shard engine
-/// under `batch`; returns (duration, batch retunes).
-fn run_qd128(batch: BatchPolicy, total: u64) -> (Ns, u64) {
-    let telemetry = Telemetry::enabled();
-    let policy = EnginePolicy::new().batch(batch);
-    let (engine, ssd, mut ends) = build_rig(1, 1, policy, &telemetry);
-    let (sq, cq) = ends.pop().unwrap();
-    let mut ex = Executor::new();
-    ex.add(Box::new(Load {
-        sq,
-        cq,
-        qd: 128,
-        outstanding: 0,
-        submitted: 0,
-        completed: 0,
-        total,
-        next_cid: 0,
-        lba: 0,
-    }));
-    engine.run_virtual(&mut ex);
-    ex.add(Box::new(ssd));
-    let report = ex.run(u64::MAX);
-    let snap = telemetry.snapshot();
-    assert_eq!(snap.get(Metric::Completed), total, "short completion count");
-    (report.duration.max(1), snap.get(Metric::BatchRetunes))
-}
-
-#[test]
-fn auto_batch_matches_best_fixed_at_qd128() {
-    const TOTAL: u64 = 4_000;
-    let mut best_fixed = Ns::MAX;
-    for n in [4usize, 32, 256] {
-        let (dur, _) = run_qd128(BatchPolicy::Fixed(n), TOTAL);
-        best_fixed = best_fixed.min(dur);
-    }
-    let (auto_dur, retunes) = run_qd128(BatchPolicy::Auto { min: 4, max: 256 }, TOTAL);
-    assert!(retunes >= 1, "the tuner never moved off its starting batch");
-    // Auto starts at the worst setting (min) and must climb to within 5%
-    // of the best hand-tuned batch.
-    assert!(
-        auto_dur as f64 <= best_fixed as f64 * 1.05,
-        "auto batch took {auto_dur}ns vs best fixed {best_fixed}ns"
-    );
-}
-
 #[test]
 fn policy_survives_snapshot_bytes_restore_and_reshard() {
     let telemetry = Telemetry::enabled();
@@ -390,16 +288,10 @@ fn policy_survives_snapshot_bytes_restore_and_reshard() {
             idle_spin: 8 * US,
             park_after: 64 * US,
         })
-        .batch(BatchPolicy::Auto { min: 4, max: 128 })
-        .placement(PlacementPolicy::Affine(Topology {
-            nodes: 2,
-            cores_per_node: 4,
-            device_node: 0,
-            cross_penalty: US,
-        }));
+        .batch(16);
     let (mut engine, mut ssd, ends) = build_rig(2, 4, policy, &telemetry);
     assert_eq!(engine.policy(), &policy);
-    assert_eq!(engine.shard_cores().len(), 2);
+    assert_eq!(engine.stats().batch_sizes, [16; 2]);
 
     // Some traffic on every queue pair, then quiesce.
     for (qp, (sq, _)) in ends.iter().enumerate() {
@@ -435,21 +327,13 @@ fn policy_survives_snapshot_bytes_restore_and_reshard() {
     let state = ServiceState::from_bytes(&bytes).expect("blob round-trips");
     assert_eq!(state.policy, policy);
 
-    // Restore 2 → 4 shards: the snapshot's policy governs the new engine,
-    // and the placement model re-places all four shards.
+    // Restore 2 → 4 shards: the snapshot's policy governs every shard of
+    // the new engine.
     let mut engine = Engine::restore_with_shards(parts, &state, 4, now).expect("reshard restore");
     assert_eq!(engine.policy(), &policy);
-    assert_eq!(engine.shard_cores().len(), 4);
-    let topo = match policy.placement {
-        PlacementPolicy::Affine(t) => t,
-        _ => unreachable!(),
-    };
-    for &core in engine.shard_cores() {
-        assert!(core < topo.cores(), "placement must stay on the topology");
-    }
     let stats = engine.stats();
     assert_eq!(stats.poll_modes.len(), 4);
-    assert!(stats.batch_sizes.iter().all(|&b| (4..=128).contains(&b)));
+    assert_eq!(stats.batch_sizes, [16; 4]);
 
     // The restored engine still serves I/O under the restored policy.
     engine.resume_admission();

@@ -10,7 +10,7 @@
 
 use nvmetro::core::classify::{verdict_bits, Classifier, NativeClassifier, RequestCtx, Verdict};
 use nvmetro::core::engine::{Engine, EngineVm, QueueBinding, RouterBuilder};
-use nvmetro::core::{BatchPolicy, EnginePolicy, Partition, PollPolicy};
+use nvmetro::core::{EnginePolicy, Partition, PollPolicy};
 use nvmetro::device::{CompletionMode, SimSsd, SsdConfig};
 use nvmetro::fleet::{CoalesceConfig, FleetConfig, RateLimit, TenantSpec};
 use nvmetro::mem::GuestMemory;
@@ -267,7 +267,7 @@ fn sharded_qd128_matches_the_full_scan() {
     let engine = RouterBuilder::new("router")
         .shards(2)
         .policy(EnginePolicy {
-            batch: BatchPolicy::Fixed(8),
+            batch: 8,
             ..Default::default()
         })
         .vm(EngineVm {
