@@ -53,12 +53,6 @@ done
 echo "==> sharding scaling smoke (writes BENCH_sharding.json)"
 cargo run --release -q -p nvmetro-bench --bin scaling_smoke
 
-echo "==> classifier engine ablation (writes BENCH_classifier.json)"
-# Asserts the bar: compiled >= 2x the interpreter on the
-# partition-offset classifier.
-NVMETRO_BENCH_MS="${NVMETRO_BENCH_MS:-100}" \
-  cargo run --release -q -p nvmetro-bench --bin classifier_ablation
-
 echo "==> insight smoke (writes BENCH_insight.json + target/insight_trace.json)"
 # Asserts the insight bars: >= 99% span coverage on the sharded rig,
 # >= 1M events/s assembly, watchdog overhead < 2%, and both export

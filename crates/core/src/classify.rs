@@ -331,16 +331,12 @@ impl MediatedFields {
     }
 }
 
-/// Everything one classifier invocation produced: the routing verdict, the
-/// vbpf execution engine that answered it (`None` for native classifiers),
-/// and which mediated fields the router must copy back.
+/// Everything one classifier invocation produced: the routing verdict and
+/// which mediated fields the router must copy back.
 #[derive(Clone, Copy, Debug)]
 pub struct ClassifyOutcome {
     /// The routing verdict.
     pub verdict: Verdict,
-    /// Which vbpf engine ran (interpreter or compiled), or `None` for a
-    /// native classifier.
-    pub tier: Option<nvmetro_vbpf::Tier>,
     /// Mediated fields the classifier may have rewritten.
     pub dirty: MediatedFields,
 }
@@ -351,9 +347,8 @@ pub struct ClassifyOutcome {
 // would buy nothing but a pointer chase on every classify call.
 #[allow(clippy::large_enum_variant)]
 pub enum Classifier {
-    /// Verified vbpf bytecode (the paper's deployed configuration),
-    /// executed as pre-decoded compiled ops, or by the fetch/decode
-    /// interpreter when the compiler rejects the program.
+    /// Verified vbpf bytecode (the paper's deployed configuration), run
+    /// by the vbpf interpreter.
     Bpf(Vm),
     /// Native Rust (zero interpretation cost; ablation baseline).
     Native(Box<dyn NativeClassifier>),
@@ -365,24 +360,22 @@ impl Classifier {
         self.run_tiered(ctx, now).verdict
     }
 
-    /// Runs the classifier and reports the execution engine and dirty-field
-    /// mask alongside the verdict — the router's hot-path entry point.
+    /// Runs the classifier and reports the dirty-field mask alongside the
+    /// verdict — the router's hot-path entry point.
     pub fn run_tiered(&mut self, ctx: &mut RequestCtx, now: u64) -> ClassifyOutcome {
         match self {
             Classifier::Bpf(vm) => {
                 vm.set_time(now);
-                let (r, tier) = vm
-                    .run_with_tier(ctx.bytes_mut())
+                let r = vm
+                    .run(ctx.bytes_mut())
                     .expect("verified classifier must not trap");
                 ClassifyOutcome {
                     verdict: Verdict(r),
-                    tier: Some(tier),
                     dirty: MediatedFields::from_ctx_writes(vm.program().ctx_writes()),
                 }
             }
             Classifier::Native(n) => ClassifyOutcome {
                 verdict: n.classify(ctx),
-                tier: None,
                 dirty: MediatedFields::all(),
             },
         }
@@ -439,8 +432,7 @@ pub fn offset_program(lba_offset: u64) -> Vm {
 /// length and translated by the partition base; everything past the
 /// partition completes immediately with `LBA_OUT_OF_RANGE`; non-I/O
 /// commands pass through untouched. This is the representative
-/// direct-mediation workload (`classifier_ablation` benches it across
-/// execution tiers).
+/// direct-mediation workload.
 pub fn partition_offset_program(lba_offset: u64, part_nlb: u64) -> Vm {
     use nvmetro_vbpf::isa::*;
     let mut b = ProgramBuilder::new();
@@ -672,12 +664,11 @@ mod tests {
     }
 
     #[test]
-    fn run_tiered_reports_tier_and_dirty_fields() {
+    fn run_tiered_reports_dirty_fields() {
         let mut cls = Classifier::Bpf(offset_program(1000));
         let cmd = sample_cmd();
         let mut ctx = RequestCtx::new(HOOK_VSQ, 0, 0, &cmd, Status::SUCCESS, 0);
         let out = cls.run_tiered(&mut ctx, 0);
-        assert_eq!(out.tier, Some(nvmetro_vbpf::Tier::Compiled));
         assert!(out.dirty.contains(MediatedFields::SLBA));
         assert!(!out.dirty.contains(MediatedFields::NLB));
         assert!(!out.dirty.contains(MediatedFields::USER_TAG));

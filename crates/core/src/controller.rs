@@ -186,7 +186,13 @@ impl VirtualController {
                         return CompletionEntry::new(cmd.cid, Status::INVALID_FIELD);
                     }
                 }
-                if cmd.prp1 == 0 {
+                // The guest picks `prp1`: a null page or a buffer that leaves
+                // guest memory is refused before anything is written.
+                let fits = cmd
+                    .prp1
+                    .checked_add(data.len() as u64)
+                    .is_some_and(|end| end <= self.mem.size());
+                if cmd.prp1 == 0 || !fits {
                     return CompletionEntry::new(cmd.cid, Status::INVALID_FIELD);
                 }
                 self.mem.write(cmd.prp1, &data);
@@ -310,6 +316,38 @@ mod tests {
         assert_eq!(cqe.status(), Status::SUCCESS);
         let id = mem.read_vec(buf, 4096);
         assert_eq!(&id[4..12], b"NVMETRO0");
+    }
+
+    #[test]
+    fn identify_past_guest_memory_is_refused_without_writing() {
+        let vc = VirtualController::new(small_cfg());
+        let mem = vc.memory();
+        let size = mem.size();
+        let resident = mem.resident_pages();
+        for prp1 in [1 << 40, size - 4095, size, u64::MAX - 100] {
+            for cns in [0, 1] {
+                let cmd = SubmissionEntry {
+                    opcode: AdminOpcode::Identify as u8,
+                    cid: 7,
+                    cdw10: cns,
+                    prp1,
+                    ..Default::default()
+                };
+                let cqe = vc.handle_admin(&cmd);
+                assert_eq!(cqe.status(), Status::INVALID_FIELD, "prp1 {prp1:#x}");
+                assert_eq!(cqe.cid, 7);
+                assert_eq!(mem.resident_pages(), resident, "prp1 {prp1:#x} wrote");
+            }
+        }
+        // The last whole page of guest memory is still a valid buffer.
+        let cmd = SubmissionEntry {
+            opcode: AdminOpcode::Identify as u8,
+            cdw10: 1,
+            prp1: size - 4096,
+            ..Default::default()
+        };
+        assert_eq!(vc.handle_admin(&cmd).status(), Status::SUCCESS);
+        assert_eq!(&mem.read_vec(size - 4096, 4096)[4..12], b"NVMETRO0");
     }
 
     #[test]

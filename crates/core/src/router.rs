@@ -39,7 +39,7 @@ use nvmetro_nvme::{
 };
 use nvmetro_sim::cost::CostModel;
 use nvmetro_sim::{Actor, CpuMode, Ns, Progress, Station, MS, US};
-use nvmetro_telemetry::{Depth, Metric, PathKind, Route, Segment, Stage, TelemetryHandle, Tier};
+use nvmetro_telemetry::{Depth, Metric, PathKind, Route, Segment, Stage, TelemetryHandle};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -1078,19 +1078,7 @@ impl Router {
             error,
             state.user_tag,
         );
-        let started = self.telemetry.enabled().then(std::time::Instant::now);
         let outcome = self.vms[vm].classifier.run_tiered(&mut self.scratch, t);
-        if let Some(tier) = outcome.tier {
-            let (metric, tier) = match tier {
-                nvmetro_vbpf::Tier::Interp => (Metric::ClassifierInterp, Tier::Interp),
-                nvmetro_vbpf::Tier::Compiled => (Metric::ClassifierCompiled, Tier::Compiled),
-            };
-            self.telemetry.count(metric);
-            if let Some(started) = started {
-                self.telemetry
-                    .tier_latency(tier, started.elapsed().as_nanos() as u64);
-            }
-        }
         self.telemetry.request_event(
             t,
             vm_id,

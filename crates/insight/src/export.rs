@@ -11,7 +11,7 @@
 
 use crate::forest::TraceForest;
 use crate::span::Span;
-use nvmetro_telemetry::{Metric, Percentiles, Route, Segment, Stage, TelemetrySnapshot, Tier};
+use nvmetro_telemetry::{Metric, Percentiles, Route, Segment, Stage, TelemetrySnapshot};
 use std::fmt::Write as _;
 
 /// Escapes `s` for embedding in a JSON string literal.
@@ -276,15 +276,6 @@ pub fn prometheus_text_with(snapshot: &TelemetrySnapshot, gauges: Option<&Engine
     for s in Segment::ALL {
         let p = Percentiles::of(&snapshot.segments[s as usize]);
         prom_hist(&mut out, "nvmetro_segment_ns", "segment", s.name(), &p);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP nvmetro_tier_latency_ns Service latency by storage tier."
-    );
-    let _ = writeln!(out, "# TYPE nvmetro_tier_latency_ns summary");
-    for t in Tier::ALL {
-        let p = Percentiles::of(&snapshot.tiers[t as usize]);
-        prom_hist(&mut out, "nvmetro_tier_latency_ns", "tier", t.name(), &p);
     }
 
     let _ = writeln!(

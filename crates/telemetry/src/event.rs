@@ -239,34 +239,6 @@ impl Depth {
     }
 }
 
-/// Which vbpf execution engine answered a classifier invocation (mirrors
-/// `nvmetro_vbpf::Tier` without a crate dependency): the fetch/decode
-/// interpreter or the pre-decoded compiled op array. Each gets a run
-/// counter and a latency histogram.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Tier {
-    /// Fetch/decode interpreter (the fallback).
-    Interp = 0,
-    /// Pre-decoded op-array dispatch loop.
-    Compiled = 1,
-}
-
-impl Tier {
-    /// Number of tiers.
-    pub const COUNT: usize = 2;
-    /// All tiers in index order.
-    pub const ALL: [Tier; 2] = [Tier::Interp, Tier::Compiled];
-
-    /// Stable lowercase name for tables and JSON export.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Tier::Interp => "interp",
-            Tier::Compiled => "compiled",
-        }
-    }
-}
-
 /// One fixed-size trace record. 24 bytes; the ring stores these by value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {

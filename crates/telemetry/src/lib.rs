@@ -38,7 +38,7 @@ pub mod percentile;
 mod ring;
 mod snapshot;
 
-pub use event::{Depth, Ns, PathKind, Route, Segment, Stage, Tier, TraceEvent, VM_ANY};
+pub use event::{Depth, Ns, PathKind, Route, Segment, Stage, TraceEvent, VM_ANY};
 pub use metrics::Metric;
 pub use percentile::Percentiles;
 pub use ring::TraceRing;
@@ -311,7 +311,6 @@ impl Telemetry {
         let mut route: [Histogram; Route::COUNT] = std::array::from_fn(|_| Histogram::new());
         let mut segment: [Histogram; Segment::COUNT] = std::array::from_fn(|_| Histogram::new());
         let mut depth: [Histogram; Depth::COUNT] = std::array::from_fn(|_| Histogram::new());
-        let mut tier: [Histogram; Tier::COUNT] = std::array::from_fn(|_| Histogram::new());
         let mut events = Vec::new();
         let mut workers_out = Vec::new();
         let mut ring_dropped = Vec::new();
@@ -320,7 +319,7 @@ impl Telemetry {
                 counters[m as usize] += w.shard.counter(m);
             }
             w.shard
-                .merge_hists_into(&mut route, &mut segment, &mut depth, &mut tier);
+                .merge_hists_into(&mut route, &mut segment, &mut depth);
             events.extend(w.ring.snapshot());
             workers_out.push(w.name.clone());
             ring_dropped.push(w.ring.dropped());
@@ -333,7 +332,6 @@ impl Telemetry {
             route_latency: route,
             segments: segment,
             depths: depth,
-            tiers: tier,
             events,
             dropped_events: ring_dropped.iter().sum(),
             workers: workers_out,
@@ -490,15 +488,6 @@ impl TelemetryHandle {
     pub fn depth(&self, d: Depth, value: u64) {
         if let Some(shard) = &self.shard {
             shard.record_depth(d, value);
-        }
-    }
-
-    /// Records one classifier invocation's latency under the execution
-    /// engine that answered it (interpreter or compiled).
-    #[inline]
-    pub fn tier_latency(&self, t: Tier, ns: u64) {
-        if let Some(shard) = &self.shard {
-            shard.record_tier(t, ns);
         }
     }
 }

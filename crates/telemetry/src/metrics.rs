@@ -6,7 +6,7 @@
 //! per-shard mutex that is uncontended on the hot path (only that worker
 //! records into it) and is taken across shards only at snapshot time.
 
-use crate::event::{Depth, Route, Segment, Tier};
+use crate::event::{Depth, Route, Segment};
 use nvmetro_stats::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -74,9 +74,11 @@ pub enum Metric {
     CqNotifies = 27,
     /// Coalesced VCQ flushes performed (one per poll that posted CQEs).
     CqBatches = 28,
-    /// Classifier invocations answered by the fetch/decode interpreter.
+    /// Retired: counted classifier invocations per vbpf engine, and vbpf
+    /// has one engine now, so nothing increments it. The ID stays because
+    /// NVBB lays the counter block out by [`Metric`] index.
     ClassifierInterp = 29,
-    /// Classifier invocations answered by the pre-decoded compiled engine.
+    /// Retired with [`Metric::ClassifierInterp`].
     ClassifierCompiled = 30,
     /// Circuit-breaker transitions into the Open state.
     BreakerOpens = 31,
@@ -254,7 +256,6 @@ pub(crate) struct ShardHists {
     pub route: [Histogram; Route::COUNT],
     pub segment: [Histogram; Segment::COUNT],
     pub depth: [Histogram; Depth::COUNT],
-    pub tier: [Histogram; Tier::COUNT],
 }
 
 impl ShardHists {
@@ -263,7 +264,6 @@ impl ShardHists {
             route: std::array::from_fn(|_| Histogram::new()),
             segment: std::array::from_fn(|_| Histogram::new()),
             depth: std::array::from_fn(|_| Histogram::new()),
-            tier: std::array::from_fn(|_| Histogram::new()),
         }
     }
 }
@@ -304,11 +304,6 @@ impl Shard {
         self.hists.lock().unwrap().depth[d as usize].record(value);
     }
 
-    #[inline]
-    pub(crate) fn record_tier(&self, t: Tier, ns: u64) {
-        self.hists.lock().unwrap().tier[t as usize].record(ns);
-    }
-
     pub(crate) fn counter(&self, m: Metric) -> u64 {
         self.counters[m as usize].load(Ordering::Relaxed)
     }
@@ -318,7 +313,6 @@ impl Shard {
         route: &mut [Histogram; Route::COUNT],
         segment: &mut [Histogram; Segment::COUNT],
         depth: &mut [Histogram; Depth::COUNT],
-        tier: &mut [Histogram; Tier::COUNT],
     ) {
         let h = self.hists.lock().unwrap();
         for (dst, src) in route.iter_mut().zip(h.route.iter()) {
@@ -328,9 +322,6 @@ impl Shard {
             dst.merge(src);
         }
         for (dst, src) in depth.iter_mut().zip(h.depth.iter()) {
-            dst.merge(src);
-        }
-        for (dst, src) in tier.iter_mut().zip(h.tier.iter()) {
             dst.merge(src);
         }
     }
@@ -364,22 +355,15 @@ mod tests {
         b.record_route(Route::Fast, 300);
         b.record_segment(Segment::DispatchToService, 50);
         a.record_depth(Depth::CqBatch, 4);
-        a.record_tier(Tier::Compiled, 120);
-        b.record_tier(Tier::Compiled, 80);
-        b.record_tier(Tier::Interp, 15);
         let mut route: [Histogram; Route::COUNT] = std::array::from_fn(|_| Histogram::new());
         let mut seg: [Histogram; Segment::COUNT] = std::array::from_fn(|_| Histogram::new());
         let mut depth: [Histogram; Depth::COUNT] = std::array::from_fn(|_| Histogram::new());
-        let mut tier: [Histogram; Tier::COUNT] = std::array::from_fn(|_| Histogram::new());
-        a.merge_hists_into(&mut route, &mut seg, &mut depth, &mut tier);
-        b.merge_hists_into(&mut route, &mut seg, &mut depth, &mut tier);
+        a.merge_hists_into(&mut route, &mut seg, &mut depth);
+        b.merge_hists_into(&mut route, &mut seg, &mut depth);
         assert_eq!(route[Route::Fast as usize].count(), 2);
         assert_eq!(route[Route::Fast as usize].min(), 100);
         assert_eq!(seg[Segment::DispatchToService as usize].count(), 1);
         assert_eq!(depth[Depth::CqBatch as usize].max(), 4);
-        assert_eq!(tier[Tier::Compiled as usize].count(), 2);
-        assert_eq!(tier[Tier::Compiled as usize].min(), 80);
-        assert_eq!(tier[Tier::Interp as usize].max(), 15);
     }
 
     #[test]

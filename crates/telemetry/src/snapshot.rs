@@ -1,7 +1,7 @@
 //! Point-in-time telemetry snapshot: aggregated counters, merged latency
 //! histograms, the trace-ring contents, and lifecycle reassembly.
 
-use crate::event::{Depth, Route, Segment, Stage, Tier, TraceEvent, VM_ANY};
+use crate::event::{Depth, Route, Segment, Stage, TraceEvent, VM_ANY};
 use crate::metrics::Metric;
 use crate::percentile::Percentiles;
 use nvmetro_stats::{Histogram, Table};
@@ -29,9 +29,6 @@ pub struct TelemetrySnapshot {
     pub segments: [Histogram; Segment::COUNT],
     /// Occupancy/batch-size distributions (queue depth, CQEs per flush).
     pub depths: [Histogram; Depth::COUNT],
-    /// Classifier invocation latency split by execution tier
-    /// (interpreter or compiled).
-    pub tiers: [Histogram; Tier::COUNT],
     /// All workers' trace-ring contents, merged, oldest first.
     pub events: Vec<TraceEvent>,
     /// Events lost to ring wrap-around, summed over all rings.
@@ -51,7 +48,6 @@ impl TelemetrySnapshot {
             route_latency: std::array::from_fn(|_| Histogram::new()),
             segments: std::array::from_fn(|_| Histogram::new()),
             depths: std::array::from_fn(|_| Histogram::new()),
-            tiers: std::array::from_fn(|_| Histogram::new()),
             events: Vec::new(),
             dropped_events: 0,
             workers: Vec::new(),
@@ -77,11 +73,6 @@ impl TelemetrySnapshot {
     /// Occupancy/batch-size histogram for one depth series.
     pub fn depth_hist(&self, d: Depth) -> &Histogram {
         &self.depths[d as usize]
-    }
-
-    /// Classifier latency histogram for one execution tier.
-    pub fn tier_hist(&self, t: Tier) -> &Histogram {
-        &self.tiers[t as usize]
     }
 
     /// Identities of all requests whose `VsqFetch` event is still in the
@@ -174,9 +165,6 @@ impl TelemetrySnapshot {
         for d in Depth::ALL {
             push(&format!("depth/{}", d.name()), self.depth_hist(d));
         }
-        for tier in Tier::ALL {
-            push(&format!("tier/{}", tier.name()), self.tier_hist(tier));
-        }
         t
     }
 
@@ -229,9 +217,6 @@ impl TelemetrySnapshot {
         for d in Depth::ALL {
             series("depth", d.name(), self.depth_hist(d), &mut t);
         }
-        for tier in Tier::ALL {
-            series("tier", tier.name(), self.tier_hist(tier), &mut t);
-        }
         t.to_csv()
     }
 
@@ -266,18 +251,6 @@ impl TelemetrySnapshot {
                 out.push(',');
             }
             let _ = write!(out, "\"{}\":{}", d.name(), hist_json(self.depth_hist(*d)));
-        }
-        out.push_str("},\"tiers\":{");
-        for (i, tier) in Tier::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{}",
-                tier.name(),
-                hist_json(self.tier_hist(*tier))
-            );
         }
         let _ = write!(
             out,

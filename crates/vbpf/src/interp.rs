@@ -6,7 +6,6 @@
 //! runtime as defense in depth behind the verifier, mirroring how Linux
 //! pairs its verifier with runtime bounds where cheap.
 
-use crate::compile::{compile, CompiledProgram, Op};
 use crate::isa::*;
 use crate::maps::ArrayMap;
 use crate::Program;
@@ -25,42 +24,11 @@ pub mod helpers {
     pub const TRACE: u32 = 5;
 }
 
-pub(crate) const CTX_BASE: u64 = 0x1000_0000_0000_0000;
-pub(crate) const STACK_BASE: u64 = 0x2000_0000_0000_0000;
-
-/// Width of the runtime register file. The ISA has [`NUM_REGS`] (11)
-/// registers; executing over a 16-slot array lets the compiled engine's
-/// accessors mask indices (`r & 15`) instead of bounds-checking them —
-/// the verifier guarantees register numbers are in range, so the masked
-/// and checked forms are observably identical.
-const REG_FILE: usize = 16;
-
-/// Masked register read for the compiled dispatch loop.
-#[inline(always)]
-fn reg(regs: &[u64; REG_FILE], r: u8) -> u64 {
-    regs[(r & 15) as usize]
-}
-
-/// Masked register write slot for the compiled dispatch loop.
-#[inline(always)]
-fn reg_mut(regs: &mut [u64; REG_FILE], r: u8) -> &mut u64 {
-    &mut regs[(r & 15) as usize]
-}
+const CTX_BASE: u64 = 0x1000_0000_0000_0000;
+const STACK_BASE: u64 = 0x2000_0000_0000_0000;
 const MAP_BASE: u64 = 0x3000_0000_0000_0000;
 const MAP_IDX_SHIFT: u32 = 40;
 const MAP_OFF_MASK: u64 = (1 << MAP_IDX_SHIFT) - 1;
-
-/// Which execution engine answered an invocation (see
-/// [`Vm::run_with_tier`]). The router surfaces per-engine counters and
-/// latency histograms through telemetry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tier {
-    /// Fetch/decode interpreter: the fallback for programs the compiler
-    /// rejects and for undersized contexts.
-    Interp,
-    /// Pre-decoded op array ([`crate::compile`]).
-    Compiled,
-}
 
 /// Runtime execution failures (should be unreachable for verified programs
 /// run with a context at least as large as the verified `ctx_size`).
@@ -117,13 +85,19 @@ pub struct MemoStats {
 /// partition LBA offsets).
 pub struct Vm {
     program: Program,
-    compiled: Option<CompiledProgram>,
+    env: Env,
+    cfg: VmConfig,
+    invocations: u64,
+}
+
+/// Everything a program reaches besides its own code and frame: the maps
+/// and the helpers' state. Kept apart from the [`Program`] so the run loop
+/// can hold the instructions while a helper call mutates this.
+struct Env {
     maps: Vec<ArrayMap>,
     time_ns: u64,
     rng: u64,
     trace: Vec<u64>,
-    cfg: VmConfig,
-    invocations: u64,
 }
 
 impl Vm {
@@ -135,14 +109,14 @@ impl Vm {
     /// Instantiates with explicit configuration.
     pub fn with_config(program: Program, cfg: VmConfig) -> Self {
         let maps = program.maps.iter().map(|d| ArrayMap::new(*d)).collect();
-        let compiled = compile(&program);
         Vm {
             program,
-            compiled,
-            maps,
-            time_ns: 0,
-            rng: cfg.prandom_seed | 1,
-            trace: Vec::new(),
+            env: Env {
+                maps,
+                time_ns: 0,
+                rng: cfg.prandom_seed | 1,
+                trace: Vec::new(),
+            },
             cfg,
             invocations: 0,
         }
@@ -161,29 +135,24 @@ impl Vm {
         &self.program
     }
 
-    /// True when the pre-decoded compiled engine is available.
-    pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
-    }
-
     /// Sets the virtual time returned by the `ktime_ns` helper.
     pub fn set_time(&mut self, ns: u64) {
-        self.time_ns = ns;
+        self.env.time_ns = ns;
     }
 
     /// Host-side access to a map (e.g. to configure an LBA offset).
     pub fn map(&self, idx: usize) -> &ArrayMap {
-        &self.maps[idx]
+        &self.env.maps[idx]
     }
 
     /// Host-side mutable access to a map.
     pub fn map_mut(&mut self, idx: usize) -> &mut ArrayMap {
-        &mut self.maps[idx]
+        &mut self.env.maps[idx]
     }
 
     /// Values recorded by the `trace` helper (bounded to 1024).
     pub fn trace_log(&self) -> &[u64] {
-        &self.trace
+        &self.env.trace
     }
 
     /// Number of completed invocations.
@@ -192,245 +161,15 @@ impl Vm {
     }
 
     /// Runs the program over `ctx`; returns R0 (the routing verdict).
-    ///
-    /// Uses the compiled engine when it applies and the interpreter
-    /// otherwise; use [`Vm::run_with_tier`] to observe which one ran, or
-    /// [`Vm::run_interp`] to force the interpreter.
     pub fn run(&mut self, ctx: &mut [u8]) -> Result<u64, ExecError> {
-        self.run_with_tier(ctx).map(|(v, _)| v)
-    }
-
-    /// Runs the program and reports which execution engine answered.
-    #[inline]
-    pub fn run_with_tier(&mut self, ctx: &mut [u8]) -> Result<(u64, Tier), ExecError> {
-        match &self.compiled {
-            // The compile-time bounds proofs assumed at least the
-            // verified ctx footprint; an undersized context takes the
-            // interpreter, which reproduces its exact behavior (possibly
-            // OutOfBounds).
-            Some(c) if ctx.len() >= c.min_ctx => {
-                self.run_compiled(ctx).map(|v| (v, Tier::Compiled))
-            }
-            _ => self.run_interp(ctx).map(|v| (v, Tier::Interp)),
-        }
-    }
-
-    /// Executes the pre-decoded op array. Caller guarantees
-    /// `self.compiled` is present and `ctx.len() >= min_ctx`.
-    #[inline]
-    fn run_compiled(&mut self, ctx: &mut [u8]) -> Result<u64, ExecError> {
-        let mut regs = [0u64; REG_FILE];
-        regs[R1 as usize] = CTX_BASE;
-        regs[R10 as usize] = STACK_BASE + STACK_SIZE as u64;
-        let mut budget = self.cfg.max_insns;
-        let cp: *const CompiledProgram = self.compiled.as_ref().expect("compiled engine present");
-        // SAFETY: `cp` borrows from self.compiled, which nothing in this
-        // loop mutates (helper calls touch maps/rng/trace only); the raw
-        // pointer avoids aliasing with `&mut self` for those calls.
-        let cp: &CompiledProgram = unsafe { &*cp };
-        // Programs with no retained stack op cannot observe the frame:
-        // skip the 512-byte zeroing (a large share of short classifiers'
-        // per-invocation cost) and hand the arms an empty slice.
-        let mut frame = std::mem::MaybeUninit::<[u8; STACK_SIZE]>::uninit();
-        let stack: &mut [u8] = if cp.uses_stack {
-            frame.write([0u8; STACK_SIZE])
-        } else {
-            &mut []
-        };
-        let ops = &cp.ops[..];
-        let weights = &cp.weights[..];
-        let pcs = &cp.pcs[..];
-        // DAG programs (the verifier rejects backward jumps) charge at
-        // most `total_weight`; when the budget covers that, per-op
-        // accounting cannot fail and is skipped entirely.
-        let check_budget = budget < cp.total_weight;
-        let mut i = 0usize;
-        loop {
-            if check_budget {
-                // Budget parity with the interpreter: an op's weight is
-                // itself plus the eliminated instructions folded into it.
-                let w = weights[i] as u64;
-                if budget < w {
-                    return Err(ExecError::BudgetExceeded);
-                }
-                budget -= w;
-            }
-            // SAFETY: `i` is always in bounds — it starts at 0 (a
-            // verified program has at least its exit), branch/ja targets
-            // were validated and remapped during compilation, and
-            // fall-through `i + 1` is only reachable from non-terminal
-            // ops (the verifier's falls-off-end check makes the last op
-            // an exit or jump).
-            match *unsafe { ops.get_unchecked(i) } {
-                Op::MovImm { dst, v } => *reg_mut(&mut regs, dst) = v,
-                Op::AluImm {
-                    aluop,
-                    is64,
-                    dst,
-                    imm,
-                } => {
-                    let a = reg(&regs, dst);
-                    // `lower` validated the opcode, so `None` (and the
-                    // lazily built error) is unreachable here.
-                    *reg_mut(&mut regs, dst) =
-                        alu_value(aluop, is64, a, imm).ok_or_else(|| ExecError::BadOpcode {
-                            pc: pcs[i] as usize,
-                        })?;
-                }
-                Op::AluReg {
-                    aluop,
-                    is64,
-                    dst,
-                    src,
-                } => {
-                    let a = reg(&regs, dst);
-                    let b = reg(&regs, src);
-                    *reg_mut(&mut regs, dst) =
-                        alu_value(aluop, is64, a, b).ok_or_else(|| ExecError::BadOpcode {
-                            pc: pcs[i] as usize,
-                        })?;
-                }
-                Op::LdCtx { dst, off, size } => {
-                    *reg_mut(&mut regs, dst) = load_le(ctx, off as usize, size as usize);
-                }
-                Op::LdStack { dst, off, size } => {
-                    *reg_mut(&mut regs, dst) = load_le(stack, off as usize, size as usize);
-                }
-                Op::StCtxReg { src, off, size } => {
-                    let v = reg(&regs, src);
-                    store_le(ctx, off as usize, size as usize, v);
-                }
-                Op::StCtxImm { off, size, v } => {
-                    store_le(ctx, off as usize, size as usize, v);
-                }
-                Op::StStackReg { src, off, size } => {
-                    let v = reg(&regs, src);
-                    store_le(stack, off as usize, size as usize, v);
-                }
-                Op::StStackImm { off, size, v } => {
-                    store_le(stack, off as usize, size as usize, v);
-                }
-                Op::LdDyn {
-                    dst,
-                    src,
-                    off,
-                    size,
-                } => {
-                    let addr = reg(&regs, src).wrapping_add(off as i64 as u64);
-                    *reg_mut(&mut regs, dst) =
-                        self.mem_read(ctx, stack, addr, size as usize, pcs[i] as usize)?;
-                }
-                Op::StDynReg {
-                    dst,
-                    src,
-                    off,
-                    size,
-                } => {
-                    let addr = reg(&regs, dst).wrapping_add(off as i64 as u64);
-                    let v = reg(&regs, src);
-                    self.mem_write(ctx, stack, addr, size as usize, v, pcs[i] as usize)?;
-                }
-                Op::StDynImm { dst, off, size, v } => {
-                    let addr = reg(&regs, dst).wrapping_add(off as i64 as u64);
-                    self.mem_write(ctx, stack, addr, size as usize, v, pcs[i] as usize)?;
-                }
-                Op::Call { helper } => {
-                    self.call_helper(ctx, stack, &mut regs, helper, pcs[i] as usize)?;
-                }
-                Op::Ja { target } => {
-                    i = target as usize;
-                    continue;
-                }
-                Op::Branch {
-                    jmpop,
-                    use_reg,
-                    dst,
-                    src,
-                    imm,
-                    target,
-                } => {
-                    let a = reg(&regs, dst);
-                    let b = if use_reg { reg(&regs, src) } else { imm };
-                    let taken = branch_taken(jmpop, a, b).ok_or_else(|| ExecError::BadOpcode {
-                        pc: pcs[i] as usize,
-                    })?;
-                    i = if taken { target as usize } else { i + 1 };
-                    continue;
-                }
-                Op::Exit => {
-                    self.invocations += 1;
-                    return Ok(regs[R0 as usize]);
-                }
-                Op::LdCtxBranchImm {
-                    dst,
-                    off,
-                    size,
-                    jmpop,
-                    imm,
-                    target,
-                } => {
-                    let v = load_le(ctx, off as usize, size as usize);
-                    *reg_mut(&mut regs, dst) = v;
-                    let taken =
-                        branch_taken(jmpop, v, imm).ok_or_else(|| ExecError::BadOpcode {
-                            pc: pcs[i] as usize,
-                        })?;
-                    i = if taken { target as usize } else { i + 1 };
-                    continue;
-                }
-                Op::AluRegReg {
-                    aluop,
-                    is64,
-                    dst,
-                    a,
-                    b,
-                } => {
-                    let av = reg(&regs, a);
-                    let bv = reg(&regs, b);
-                    *reg_mut(&mut regs, dst) =
-                        alu_value(aluop, is64, av, bv).ok_or_else(|| ExecError::BadOpcode {
-                            pc: pcs[i] as usize,
-                        })?;
-                }
-                Op::AluImmStCtx {
-                    aluop,
-                    is64,
-                    dst,
-                    imm,
-                    off,
-                    size,
-                } => {
-                    let a = reg(&regs, dst);
-                    let v = alu_value(aluop, is64, a, imm).ok_or_else(|| ExecError::BadOpcode {
-                        pc: pcs[i] as usize,
-                    })?;
-                    *reg_mut(&mut regs, dst) = v;
-                    store_le(ctx, off as usize, size as usize, v);
-                }
-                Op::MovImmExit { v } => {
-                    self.invocations += 1;
-                    return Ok(v);
-                }
-            }
-            i += 1;
-        }
-    }
-
-    /// Runs the program on the fetch/decode interpreter, bypassing the
-    /// compiled engine (used as the fallback and by the differential
-    /// tests/benches as the reference executor).
-    pub fn run_interp(&mut self, ctx: &mut [u8]) -> Result<u64, ExecError> {
-        let mut regs = [0u64; REG_FILE];
+        let mut regs = [0u64; NUM_REGS];
         let mut stack = [0u8; STACK_SIZE];
         regs[R1 as usize] = CTX_BASE;
         regs[R10 as usize] = STACK_BASE + STACK_SIZE as u64;
         let mut pc = 0usize;
         let mut budget = self.cfg.max_insns;
-        let insns: *const [Insn] = &self.program.insns[..];
-        // SAFETY: `insns` borrows from self.program which is not mutated
-        // during the loop; raw pointer avoids aliasing with &mut self for
-        // helper calls.
-        let insns: &[Insn] = unsafe { &*insns };
+        let insns = &self.program.insns[..];
+        let env = &mut self.env;
         loop {
             if budget == 0 {
                 return Err(ExecError::BudgetExceeded);
@@ -452,7 +191,7 @@ impl Vm {
                 }
                 CLASS_LDX => {
                     let addr = regs[insn.src as usize].wrapping_add(insn.off as i64 as u64);
-                    let v = self.mem_read(ctx, &stack, addr, insn.access_size(), pc)?;
+                    let v = env.mem_read(ctx, &stack, addr, insn.access_size(), pc)?;
                     regs[insn.dst as usize] = v;
                     pc += 1;
                 }
@@ -463,7 +202,7 @@ impl Vm {
                     } else {
                         insn.imm as u64
                     };
-                    self.mem_write(ctx, &mut stack, addr, insn.access_size(), v, pc)?;
+                    env.mem_write(ctx, &mut stack, addr, insn.access_size(), v, pc)?;
                     pc += 1;
                 }
                 CLASS_JMP => {
@@ -474,7 +213,7 @@ impl Vm {
                             return Ok(regs[R0 as usize]);
                         }
                         JMP_CALL => {
-                            self.call_helper(ctx, &mut stack, &mut regs, insn.imm as u32, pc)?;
+                            env.call_helper(ctx, &mut stack, &mut regs, insn.imm as u32, pc)?;
                             pc += 1;
                         }
                         _ => {
@@ -499,6 +238,14 @@ impl Vm {
         }
     }
 
+    /// Same as [`Vm::run`], which is the interpreter; kept under this name
+    /// because `benchmark/` calls it.
+    pub fn run_interp(&mut self, ctx: &mut [u8]) -> Result<u64, ExecError> {
+        self.run(ctx)
+    }
+}
+
+impl Env {
     fn mem_read(
         &self,
         ctx: &[u8],
@@ -543,9 +290,6 @@ impl Vm {
             Ok(&slot[within..within + size])
         } else if addr >= STACK_BASE {
             let off = (addr - STACK_BASE) as usize;
-            // `stack.len()`, not STACK_SIZE: a compiled program with no
-            // retained stack op runs on an empty frame, and the verifier
-            // guarantees it never forms a stack-tagged address anyway.
             if off + size > stack.len() {
                 return Err(oob);
             }
@@ -609,7 +353,7 @@ impl Vm {
         &mut self,
         ctx: &mut [u8],
         stack: &mut [u8],
-        regs: &mut [u64; REG_FILE],
+        regs: &mut [u64; NUM_REGS],
         helper: u32,
         pc: usize,
     ) -> Result<(), ExecError> {
@@ -670,7 +414,7 @@ impl Vm {
 }
 
 fn exec_alu(
-    regs: &mut [u64; REG_FILE],
+    regs: &mut [u64; NUM_REGS],
     insn: Insn,
     is64: bool,
     pc: usize,
@@ -686,13 +430,9 @@ fn exec_alu(
     Ok(())
 }
 
-/// The single source of ALU semantics, shared by the interpreter, the
-/// compiled engine's dispatch loop, and the compiler's constant folder
-/// (so a folded constant is bit-identical to what execution would have
-/// produced). `None` means an undefined ALU family (`BadOpcode` at
-/// runtime, "don't fold" at compile time).
+/// ALU semantics; `None` means an undefined ALU family (`BadOpcode`).
 #[inline(always)]
-pub(crate) fn alu_value(aluop: u8, is64: bool, a: u64, b: u64) -> Option<u64> {
+fn alu_value(aluop: u8, is64: bool, a: u64, b: u64) -> Option<u64> {
     let (a32, b32) = (a as u32, b as u32);
     let v = if is64 {
         match aluop {
@@ -745,10 +485,9 @@ pub(crate) fn alu_value(aluop: u8, is64: bool, a: u64, b: u64) -> Option<u64> {
     Some(v)
 }
 
-/// Branch predicate shared by both execution engines; `None` means an
-/// undefined jump family (`BadOpcode` at runtime).
+/// Branch predicate; `None` means an undefined jump family (`BadOpcode`).
 #[inline(always)]
-pub(crate) fn branch_taken(jmpop: u8, a: u64, b: u64) -> Option<bool> {
+fn branch_taken(jmpop: u8, a: u64, b: u64) -> Option<bool> {
     Some(match jmpop {
         JMP_JA => true,
         JMP_JEQ => a == b,
@@ -766,30 +505,6 @@ pub(crate) fn branch_taken(jmpop: u8, a: u64, b: u64) -> Option<bool> {
     })
 }
 
-/// Little-endian load of `size` bytes (1/2/4/8) at a compile-time-proved
-/// in-bounds offset — the zero-cost replacement for the interpreter's
-/// tagged-address resolve on the compiled fast path.
-#[inline(always)]
-pub(crate) fn load_le(buf: &[u8], off: usize, size: usize) -> u64 {
-    match size {
-        1 => buf[off] as u64,
-        2 => u16::from_le_bytes(buf[off..off + 2].try_into().unwrap()) as u64,
-        4 => u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as u64,
-        _ => u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-    }
-}
-
-/// Little-endian store counterpart of [`load_le`].
-#[inline(always)]
-pub(crate) fn store_le(buf: &mut [u8], off: usize, size: usize, v: u64) {
-    match size {
-        1 => buf[off] = v as u8,
-        2 => buf[off..off + 2].copy_from_slice(&(v as u16).to_le_bytes()),
-        4 => buf[off..off + 4].copy_from_slice(&(v as u32).to_le_bytes()),
-        _ => buf[off..off + 8].copy_from_slice(&v.to_le_bytes()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,7 +512,7 @@ mod tests {
     use crate::maps::MapDef;
     use crate::verifier::{verify, VerifierConfig};
 
-    fn compile(b: ProgramBuilder, ctx_size: usize, writable: std::ops::Range<usize>) -> Vm {
+    fn vm_for(b: ProgramBuilder, ctx_size: usize, writable: std::ops::Range<usize>) -> Vm {
         let (insns, maps) = b.build();
         let cfg = VerifierConfig {
             ctx_size,
@@ -810,7 +525,7 @@ mod tests {
     fn returns_immediate() {
         let mut b = ProgramBuilder::new();
         b.mov64_imm(R0, 42).exit();
-        let mut vm = compile(b, 16, 0..0);
+        let mut vm = vm_for(b, 16, 0..0);
         assert_eq!(vm.run(&mut [0u8; 16]).unwrap(), 42);
         assert_eq!(vm.invocations(), 1);
     }
@@ -819,7 +534,7 @@ mod tests {
     fn reads_context_fields() {
         let mut b = ProgramBuilder::new();
         b.ldx(SIZE_W, R0, R1, 4).exit();
-        let mut vm = compile(b, 16, 0..0);
+        let mut vm = vm_for(b, 16, 0..0);
         let mut ctx = [0u8; 16];
         ctx[4..8].copy_from_slice(&0xAB_CDu32.to_le_bytes());
         assert_eq!(vm.run(&mut ctx).unwrap(), 0xAB_CD);
@@ -829,7 +544,7 @@ mod tests {
     fn writes_context_window() {
         let mut b = ProgramBuilder::new();
         b.mov64_imm(R0, 0).st_imm(SIZE_DW, R1, 8, 0x55).exit();
-        let mut vm = compile(b, 16, 8..16);
+        let mut vm = vm_for(b, 16, 8..16);
         let mut ctx = [0u8; 16];
         vm.run(&mut ctx).unwrap();
         assert_eq!(u64::from_le_bytes(ctx[8..16].try_into().unwrap()), 0x55);
@@ -841,7 +556,7 @@ mod tests {
         b.lddw(R0, 0xFFFF_FFFF_FFFF_FFFF)
             .alu32_imm(ALU_ADD, R0, 1)
             .exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         // 32-bit add wraps to 0 and clears the upper half.
         assert_eq!(vm.run(&mut [0u8; 8]).unwrap(), 0);
     }
@@ -853,7 +568,7 @@ mod tests {
             .mov64_imm(R2, 0)
             .alu64(ALU_DIV, R0, R2)
             .exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         assert_eq!(vm.run(&mut [0u8; 8]).unwrap(), 0);
     }
 
@@ -864,7 +579,7 @@ mod tests {
             .mov64_imm(R2, 0)
             .alu64(ALU_MOD, R0, R2)
             .exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         assert_eq!(vm.run(&mut [0u8; 8]).unwrap(), 7);
     }
 
@@ -879,7 +594,7 @@ mod tests {
             .exit();
         b.bind(ge);
         b.mov64_imm(R0, 1).exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         let mut lo = [5u8, 0, 0, 0, 0, 0, 0, 0];
         let mut hi = [55u8, 0, 0, 0, 0, 0, 0, 0];
         assert_eq!(vm.run(&mut lo).unwrap(), 2);
@@ -897,7 +612,7 @@ mod tests {
             .exit();
         b.bind(neg);
         b.mov64_imm(R0, 1).exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         let mut ctx = (-100i64).to_le_bytes();
         assert_eq!(vm.run(&mut ctx).unwrap(), 1);
         let mut ctx = 100i64.to_le_bytes();
@@ -911,7 +626,7 @@ mod tests {
             .stx(SIZE_DW, R10, -16, R2)
             .ldx(SIZE_DW, R0, R10, -16)
             .exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         assert_eq!(vm.run(&mut [0u8; 8]).unwrap(), 1234);
     }
 
@@ -938,7 +653,7 @@ mod tests {
             .exit();
         b.bind(is_null);
         b.lddw(R0, u64::MAX).exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         let mut ctx = [0u8; 8];
         assert_eq!(vm.run(&mut ctx).unwrap(), 0);
         assert_eq!(vm.run(&mut ctx).unwrap(), 1);
@@ -965,7 +680,7 @@ mod tests {
             .exit();
         b.bind(is_null);
         b.mov64_imm(R0, 0).exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         vm.map_mut(0).set_u64(1, 0xBEEF).unwrap();
         assert_eq!(vm.run(&mut [0u8; 8]).unwrap(), 0xBEEF);
     }
@@ -974,7 +689,7 @@ mod tests {
     fn ktime_helper_returns_injected_time() {
         let mut b = ProgramBuilder::new();
         b.call(helpers::KTIME_NS).exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         vm.set_time(987_654);
         assert_eq!(vm.run(&mut [0u8; 8]).unwrap(), 987_654);
     }
@@ -983,7 +698,7 @@ mod tests {
     fn trace_helper_records_values() {
         let mut b = ProgramBuilder::new();
         b.mov64_imm(R1, 77).call(helpers::TRACE).exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         vm.run(&mut [0u8; 8]).unwrap();
         assert_eq!(vm.trace_log(), &[77]);
     }
@@ -995,8 +710,8 @@ mod tests {
             b.call(helpers::PRANDOM_U32).exit();
             b
         };
-        let mut a = compile(build(), 8, 0..0);
-        let mut b2 = compile(build(), 8, 0..0);
+        let mut a = vm_for(build(), 8, 0..0);
+        let mut b2 = vm_for(build(), 8, 0..0);
         assert_eq!(
             a.run(&mut [0u8; 8]).unwrap(),
             b2.run(&mut [0u8; 8]).unwrap()
@@ -1009,7 +724,7 @@ mod tests {
         // runtime bound must catch it (defense in depth).
         let mut b = ProgramBuilder::new();
         b.ldx(SIZE_DW, R0, R1, 8).exit();
-        let mut vm = compile(b, 16, 0..0);
+        let mut vm = vm_for(b, 16, 0..0);
         let mut small = [0u8; 8];
         assert!(matches!(
             vm.run(&mut small),
@@ -1034,48 +749,17 @@ mod tests {
             .add64_imm(R3, -16)
             .call(helpers::MAP_UPDATE)
             .exit();
-        let mut vm = compile(b, 8, 0..0);
+        let mut vm = vm_for(b, 8, 0..0);
         assert_eq!(vm.run(&mut [0u8; 8]).unwrap(), 0);
         assert_eq!(vm.map(0).get_u64(0), Some(0x1122));
     }
 
     #[test]
-    fn trace_program_falls_back_to_interp_tier() {
-        let mut b = ProgramBuilder::new();
-        b.mov64_imm(R1, 9).call(helpers::TRACE).exit();
-        let mut vm = compile(b, 8, 0..0);
-        assert!(!vm.is_compiled());
-        let (v, tier) = vm.run_with_tier(&mut [0u8; 8]).unwrap();
-        assert_eq!((v, tier), (0, Tier::Interp));
-        assert_eq!(vm.trace_log(), &[9]);
-    }
-
-    #[test]
-    fn short_ctx_falls_back_to_interp_per_invocation() {
-        // Verified at ctx_size 16; the compiled tier's bounds proofs only
-        // hold for ctx >= min_ctx, so an 8-byte ctx must take the
-        // interpreter and reproduce its OutOfBounds.
-        let mut b = ProgramBuilder::new();
-        b.ldx(SIZE_DW, R0, R1, 8).exit();
-        let mut vm = compile(b, 16, 0..0);
-        assert!(vm.is_compiled());
-        let mut small = [0u8; 8];
-        assert!(matches!(
-            vm.run_with_tier(&mut small),
-            Err(ExecError::OutOfBounds { .. })
-        ));
-        let mut full = [0u8; 16];
-        full[8..].copy_from_slice(&0xABu64.to_le_bytes());
-        assert_eq!(vm.run_with_tier(&mut full).unwrap().0, 0xAB);
-    }
-
-    #[test]
-    fn short_ctx_under_a_helper_key_read_fails_alike_in_both_engines() {
+    fn helper_reads_past_a_short_ctx_fail_without_side_effects() {
         // The map key is read by the helper straight from ctx[32..36] and
-        // MAP_UPDATE's value from ctx[40..48]: no compiled op carries those
-        // offsets, so the compiled engine runs and the helper's own bounds
-        // check must fail exactly as interpreted, leaving the same map and
-        // ctx bytes behind.
+        // MAP_UPDATE's value from ctx[40..48]: on a shorter context the
+        // helper's own bounds check must fail, leaving map and ctx as they
+        // were.
         let build = |helper: u32| {
             let mut b = ProgramBuilder::new();
             let m = b.declare_map(MapDef {
@@ -1093,88 +777,26 @@ mod tests {
             b
         };
         for (helper, needs) in [(helpers::MAP_LOOKUP, 36), (helpers::MAP_UPDATE, 48)] {
-            let mut vm = compile(build(helper), 48, 0..0);
-            let mut interp = compile(build(helper), 48, 0..0);
-            assert!(vm.is_compiled());
             for len in [32usize, 34, 36, 40, 44, 47, 48] {
-                let mut ctx_a: Vec<u8> = (0..48).collect();
-                ctx_a[32..36].copy_from_slice(&1u32.to_le_bytes()); // key 1
-                ctx_a.truncate(len);
-                let mut ctx_b = ctx_a.clone();
-                let a = vm.run_with_tier(&mut ctx_a);
-                let b = interp.run_interp(&mut ctx_b);
-                assert_eq!(a.map(|(v, _)| v), b, "helper {helper} ctx len {len}");
-                assert_eq!(b.is_err(), len < needs, "helper {helper} ctx len {len}");
-                assert_eq!(ctx_a, ctx_b, "helper {helper} ctx len {len}");
-                assert_eq!(vm.map(0).get_u64(1), interp.map(0).get_u64(1));
+                let mut vm = vm_for(build(helper), 48, 0..0);
+                let mut ctx: Vec<u8> = (0..48).collect();
+                ctx[32..36].copy_from_slice(&1u32.to_le_bytes()); // key 1
+                ctx.truncate(len);
+                let before = ctx.clone();
+                let r = vm.run(&mut ctx);
+                if len < needs {
+                    assert!(
+                        matches!(r, Err(ExecError::OutOfBounds { .. })),
+                        "helper {helper} ctx len {len}: {r:?}"
+                    );
+                } else {
+                    assert_eq!(r, Ok(0), "helper {helper} ctx len {len}");
+                }
+                assert_eq!(ctx, before, "helper {helper} ctx len {len}");
                 let stored = helper == helpers::MAP_UPDATE && len >= needs;
                 let want = u64::from_le_bytes([40, 41, 42, 43, 44, 45, 46, 47]);
                 assert_eq!(vm.map(0).get_u64(1), Some(if stored { want } else { 0 }));
             }
-        }
-    }
-
-    #[test]
-    fn budget_parity_between_tiers_with_dse() {
-        // A program with a fold-away body: the compiled tier charges the
-        // removed instructions to their successor's weight, so the exact
-        // budget at which BudgetExceeded appears matches the interpreter.
-        let build = || {
-            let mut b = ProgramBuilder::new();
-            b.mov64_imm(R2, 1)
-                .mov64_imm(R3, 2)
-                .alu64(ALU_ADD, R2, R3)
-                .mov64(R0, R2)
-                .exit();
-            b
-        };
-        let n = 5u64; // instruction count of the program above
-        for budget in [n - 1, n] {
-            let cfg = VmConfig {
-                max_insns: budget,
-                ..VmConfig::default()
-            };
-            let (insns, maps) = build().build();
-            let vcfg = VerifierConfig {
-                ctx_size: 8,
-                ctx_writable: 0..0,
-            };
-            let program = verify(insns, maps, &vcfg).unwrap();
-            let mut tiered = Vm::with_config(program, cfg);
-            assert!(tiered.is_compiled());
-            let (insns, maps) = build().build();
-            let program = verify(insns, maps, &vcfg).unwrap();
-            let mut interp = Vm::with_config(program, cfg);
-            let a = tiered.run_with_tier(&mut [0u8; 8]).map(|(v, _)| v);
-            let b = interp.run_interp(&mut [0u8; 8]);
-            assert_eq!(a, b, "budget {budget}");
-        }
-    }
-
-    #[test]
-    fn compiled_tier_matches_interp_on_branchy_program() {
-        let build = || {
-            let mut b = ProgramBuilder::new();
-            let hi = b.new_label();
-            b.ldx(SIZE_W, R2, R1, 0)
-                .jmp_imm(JMP_JGT, R2, 100, hi)
-                .alu64_imm(ALU_MUL, R2, 3)
-                .mov64(R0, R2)
-                .exit();
-            b.bind(hi);
-            b.alu64_imm(ALU_RSH, R2, 2).mov64(R0, R2).exit();
-            b
-        };
-        for seed in [0u32, 7, 100, 101, 0xFFFF_FFFF] {
-            let mut tiered = compile(build(), 8, 0..0);
-            let mut interp = compile(build(), 8, 0..0);
-            let mut c1 = [0u8; 8];
-            c1[..4].copy_from_slice(&seed.to_le_bytes());
-            let mut c2 = c1;
-            let (v, tier) = tiered.run_with_tier(&mut c1).unwrap();
-            assert_eq!(tier, Tier::Compiled);
-            assert_eq!(v, interp.run_interp(&mut c2).unwrap(), "seed {seed}");
-            assert_eq!(c1, c2);
         }
     }
 }

@@ -12,63 +12,49 @@
 //! * [`verifier`] — an abstract interpreter enforcing the kernel's safety
 //!   contract: no uninitialized reads, all memory accesses provably in
 //!   bounds, helper argument types respected, guaranteed termination —
-//!   and, as a byproduct, per-instruction access facts plus the program's
-//!   ctx write footprint ([`verifier::Analysis`]);
-//! * [`interp`] — the interpreter, with bounds re-checks as defense in
-//!   depth, helper functions, and an instruction budget; it is the
-//!   reference executor and the fallback engine;
-//! * [`compile`] — the fast engine: lowers verified bytecode into a
-//!   pre-decoded dense op array (operands resolved, constant ctx/stack
-//!   offsets bounds-checked once using verifier facts, constant folding
-//!   and dead-store elimination) run by a tight dispatch loop; anything
-//!   it rejects falls back to the interpreter, and both engines agree
-//!   instruction for instruction (see `tests/differential.rs`);
+//!   and, as a byproduct, the program's ctx write footprint
+//!   ([`Program::ctx_writes`]);
+//! * [`interp`] — the one execution engine: an interpreter with bounds
+//!   re-checks as defense in depth, helper functions, and an instruction
+//!   budget. `tests/differential.rs` checks that no program the verifier
+//!   accepts faults in it;
 //! * [`maps`] — array maps shared between classifier invocations (used for
 //!   per-request state and configuration, like Linux BPF maps).
 //!
-//! Divergences from Linux eBPF are documented in `DESIGN.md` §8: the
-//! fast engine is a pre-decoded threaded interpreter rather than native JIT
-//! (no unsafe codegen), there is no BTF, and termination is guaranteed by
-//! rejecting backward jumps (pre-5.3 Linux semantics) rather than by
-//! bounded-loop analysis.
+//! Divergences from Linux eBPF are documented in `DESIGN.md` §8: programs
+//! are interpreted, not JIT-compiled, there is no BTF, and termination is
+//! guaranteed by rejecting backward jumps (pre-5.3 Linux semantics) rather
+//! than by bounded-loop analysis.
+
+#![forbid(unsafe_code)]
 
 pub mod builder;
-pub mod compile;
-pub mod disasm;
 pub mod interp;
 pub mod isa;
 pub mod maps;
 pub mod verifier;
 
 pub use builder::{Label, ProgramBuilder};
-pub use disasm::disasm;
-pub use interp::{ExecError, Tier, Vm, VmConfig};
+pub use interp::{ExecError, Vm, VmConfig};
 pub use isa::{Insn, Reg};
 pub use maps::{ArrayMap, MapDef};
-pub use verifier::{verify, AccessFact, Analysis, VerifierConfig, VerifyError};
+pub use verifier::{verify, VerifierConfig, VerifyError};
 
 /// A verified, executable vbpf program.
 ///
 /// Can only be constructed through [`verify`], mirroring the kernel's rule
-/// that unverified bytecode never runs. Carries the verifier's
-/// [`Analysis`] so the compiled engine can trust its access facts
-/// without re-deriving them.
+/// that unverified bytecode never runs.
 #[derive(Debug)]
 pub struct Program {
     pub(crate) insns: Vec<Insn>,
     pub(crate) maps: Vec<MapDef>,
-    pub(crate) analysis: Analysis,
+    pub(crate) ctx_writes: Vec<(usize, usize)>,
 }
 
 impl Program {
     /// Number of instructions (after `lddw` pairing).
     pub fn len(&self) -> usize {
         self.insns.len()
-    }
-
-    /// Disassembles the program (bpftool-style text).
-    pub fn disasm(&self) -> String {
-        disasm::disasm(&self.insns)
     }
 
     /// True for the trivial empty program (never verifiable).
@@ -79,6 +65,6 @@ impl Program {
     /// Sorted, coalesced `(start, end)` byte ranges of every context
     /// write the program can make (direct mediation footprint).
     pub fn ctx_writes(&self) -> &[(usize, usize)] {
-        &self.analysis.ctx_writes
+        &self.ctx_writes
     }
 }

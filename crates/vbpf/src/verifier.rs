@@ -87,54 +87,6 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// A memory-access fact the verifier proved for one instruction: which
-/// region the pointer operand targets and, for ctx/stack, the *unique*
-/// constant byte offset it resolves to.
-///
-/// Uniqueness falls out of the state lattice: merging two pointers with
-/// different offsets yields `Uninit`, so any access that survives
-/// verification saw exactly one `(region, offset)` pair. The compile tier
-/// ([`crate::compile`]) uses these facts to resolve and bounds-check
-/// ctx/stack accesses once, at compile time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessFact {
-    /// Context access at absolute byte offset `off`.
-    Ctx { off: usize },
-    /// Stack access at absolute offset `off` from the bottom of the
-    /// 512-byte frame (`0 ..= STACK_SIZE - size`).
-    Stack { off: usize },
-    /// Map-value access; the address is resolved at runtime through the
-    /// tagged-pointer scheme, bounds-checked by the verifier.
-    MapValue,
-}
-
-/// Byproduct of verification: per-instruction access facts plus the
-/// program's context write footprint.
-///
-/// `ctx_writes` holds sorted, coalesced `(start, end)` byte ranges covering
-/// every context store the program can make.
-#[derive(Clone, Debug)]
-pub struct Analysis {
-    /// One slot per instruction; `Some` for every LDX/ST/STX the program
-    /// can execute (the in-order pass visits all reachable pcs, and
-    /// unreachable code is rejected, so the facts are complete).
-    pub(crate) access: Vec<Option<AccessFact>>,
-    pub(crate) ctx_writes: Vec<(usize, usize)>,
-}
-
-impl Analysis {
-    fn new(len: usize) -> Self {
-        Analysis {
-            access: vec![None; len],
-            ctx_writes: Vec::new(),
-        }
-    }
-
-    fn finalize(&mut self) {
-        coalesce(&mut self.ctx_writes);
-    }
-}
-
 /// Sorts and merges overlapping/adjacent `(start, end)` byte ranges.
 fn coalesce(ranges: &mut Vec<(usize, usize)>) {
     ranges.sort_unstable();
@@ -211,7 +163,8 @@ struct Verifier<'a> {
     cfg: &'a VerifierConfig,
     maps: &'a [MapDef],
     states: Vec<Option<State>>,
-    analysis: Analysis,
+    /// `(start, end)` byte ranges of every ctx store, coalesced on success.
+    ctx_writes: Vec<(usize, usize)>,
 }
 
 /// Verifies a program against `cfg` and `maps`; on success returns the
@@ -229,15 +182,15 @@ pub fn verify(
         cfg,
         maps: &maps,
         states: vec![None; insns.len()],
-        analysis: Analysis::new(insns.len()),
+        ctx_writes: Vec::new(),
     };
     v.run()?;
-    let mut analysis = v.analysis;
-    analysis.finalize();
+    let mut ctx_writes = v.ctx_writes;
+    coalesce(&mut ctx_writes);
     Ok(Program {
         insns,
         maps,
-        analysis,
+        ctx_writes,
     })
 }
 
@@ -353,27 +306,6 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Records the access fact for a just-checked LDX/ST/STX at `pc`.
-    /// Must be called only after `check_access` succeeded, so the
-    /// resolved offsets are known in-bounds.
-    fn record_access(&mut self, pc: usize, ptr: RType, off: i64, size: usize, write: bool) {
-        let fact = match ptr {
-            RType::CtxPtr { off: base } => {
-                let a = (base + off) as usize;
-                if write {
-                    self.analysis.ctx_writes.push((a, a + size));
-                }
-                AccessFact::Ctx { off: a }
-            }
-            RType::StackPtr { off: base } => AccessFact::Stack {
-                off: (base + off + STACK_SIZE as i64) as usize,
-            },
-            RType::MapValue { .. } => AccessFact::MapValue,
-            _ => return,
-        };
-        self.analysis.access[pc] = Some(fact);
-    }
-
     fn mark_stack_written(st: &mut State, base: i64, off: i64, size: usize) {
         let a = (base + off + STACK_SIZE as i64) as usize;
         st.stack_init[a..a + size]
@@ -441,7 +373,6 @@ impl<'a> Verifier<'a> {
                 let size = insn.access_size();
                 let ptr = st.regs[insn.src as usize];
                 self.check_access(pc, &st, ptr, insn.off as i64, size, false)?;
-                self.record_access(pc, ptr, insn.off as i64, size, false);
                 st.regs[insn.dst as usize] = RType::scalar();
                 self.fall_through(pc, st)
             }
@@ -452,9 +383,15 @@ impl<'a> Verifier<'a> {
                     self.check_init(pc, &st, insn.src)?;
                 }
                 self.check_access(pc, &st, ptr, insn.off as i64, size, true)?;
-                self.record_access(pc, ptr, insn.off as i64, size, true);
-                if let RType::StackPtr { off: base } = ptr {
-                    Self::mark_stack_written(&mut st, base, insn.off as i64, size);
+                match ptr {
+                    RType::CtxPtr { off: base } => {
+                        let a = (base + insn.off as i64) as usize;
+                        self.ctx_writes.push((a, a + size));
+                    }
+                    RType::StackPtr { off: base } => {
+                        Self::mark_stack_written(&mut st, base, insn.off as i64, size);
+                    }
+                    _ => {}
                 }
                 self.fall_through(pc, st)
             }
