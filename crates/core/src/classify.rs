@@ -357,27 +357,35 @@ pub enum Classifier {
 impl Classifier {
     /// Runs the classifier at virtual time `now`.
     pub fn run(&mut self, ctx: &mut RequestCtx, now: u64) -> Verdict {
-        self.run_tiered(ctx, now).verdict
-    }
-
-    /// Runs the classifier and reports the dirty-field mask alongside the
-    /// verdict — the router's hot-path entry point.
-    pub fn run_tiered(&mut self, ctx: &mut RequestCtx, now: u64) -> ClassifyOutcome {
         match self {
             Classifier::Bpf(vm) => {
                 vm.set_time(now);
                 let r = vm
                     .run(ctx.bytes_mut())
                     .expect("verified classifier must not trap");
-                ClassifyOutcome {
-                    verdict: Verdict(r),
-                    dirty: MediatedFields::from_ctx_writes(vm.program().ctx_writes()),
-                }
+                Verdict(r)
             }
-            Classifier::Native(n) => ClassifyOutcome {
-                verdict: n.classify(ctx),
-                dirty: MediatedFields::all(),
-            },
+            Classifier::Native(n) => n.classify(ctx),
+        }
+    }
+
+    /// The mediated fields this classifier can write: the verifier's
+    /// footprint for vbpf, every field for native code. It is fixed for
+    /// the life of the installed program, so the router derives it once
+    /// per install rather than per call.
+    pub fn footprint(&self) -> MediatedFields {
+        match self {
+            Classifier::Bpf(vm) => MediatedFields::from_ctx_writes(vm.program().ctx_writes()),
+            Classifier::Native(_) => MediatedFields::all(),
+        }
+    }
+
+    /// Runs the classifier and reports its footprint alongside the
+    /// verdict, for callers that keep no footprint of their own.
+    pub fn run_tiered(&mut self, ctx: &mut RequestCtx, now: u64) -> ClassifyOutcome {
+        ClassifyOutcome {
+            verdict: self.run(ctx, now),
+            dirty: self.footprint(),
         }
     }
 

@@ -180,7 +180,9 @@ impl VirtualController {
                     1 => {
                         data[4..12].copy_from_slice(b"NVMETRO0"); // serial
                         data[24..31].copy_from_slice(b"NVMetro"); // model
-                        data[72..74].copy_from_slice(&1u16.to_le_bytes()); // 1 ns
+                        data[512] = 0x66; // SQES: 64-byte SQEs, required and max
+                        data[513] = 0x44; // CQES: 16-byte CQEs, required and max
+                        data[516..520].copy_from_slice(&1u32.to_le_bytes()); // NN
                     }
                     _ => {
                         return CompletionEntry::new(cmd.cid, Status::INVALID_FIELD);
@@ -280,6 +282,32 @@ mod tests {
         let mut vc = VirtualController::new(small_cfg());
         let _ = vc.take_guest_queue(0);
         let _ = vc.take_guest_queue(0);
+    }
+
+    #[test]
+    fn identify_controller_fields_sit_at_their_spec_offsets() {
+        let vc = VirtualController::new(small_cfg());
+        let mem = vc.memory();
+        let buf = mem.alloc(4096);
+        let cmd = SubmissionEntry {
+            opcode: AdminOpcode::Identify as u8,
+            cdw10: 1, // CNS 1: controller
+            prp1: buf,
+            ..Default::default()
+        };
+        assert_eq!(vc.handle_admin(&cmd).status(), Status::SUCCESS);
+        let page = mem.read_vec(buf, 4096);
+        // NVMe base spec, Identify Controller data structure.
+        assert_eq!(&page[4..12], b"NVMETRO0", "SN");
+        assert_eq!(&page[24..31], b"NVMetro", "MN");
+        assert_eq!(page[72..76], [0; 4], "RAB and IEEE OUI stay zero");
+        assert_eq!(page[512], 0x66, "SQES");
+        assert_eq!(page[513], 0x44, "CQES");
+        assert_eq!(
+            u32::from_le_bytes(page[516..520].try_into().unwrap()),
+            1,
+            "NN"
+        );
     }
 
     #[test]

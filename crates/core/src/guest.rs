@@ -36,6 +36,9 @@ pub enum GuestError {
     Admin(Status),
     /// An I/O command failed with the given status.
     Io(Status),
+    /// Identify Controller reports no namespaces (NN is 0): nothing to
+    /// attach.
+    NoNamespace,
 }
 
 impl std::fmt::Display for GuestError {
@@ -45,6 +48,15 @@ impl std::fmt::Display for GuestError {
 }
 
 impl std::error::Error for GuestError {}
+
+/// Reads NN, the namespace count, from an Identify Controller page (bytes
+/// 516..520): zero is an error, since no namespace would attach.
+fn require_namespace(id: &[u8]) -> Result<(), GuestError> {
+    match u32::from_le_bytes(id[516..520].try_into().expect("4-byte field")) {
+        0 => Err(GuestError::NoNamespace),
+        _ => Ok(()),
+    }
+}
 
 /// The guest driver: performs bring-up, then offers synchronous
 /// read/write/flush over one I/O queue pair.
@@ -82,6 +94,7 @@ impl GuestDriver {
         let serial = String::from_utf8_lossy(&id[4..24])
             .trim_end_matches(['\0', ' '])
             .to_string();
+        require_namespace(&id)?;
 
         // 2. Set Features: number of queues (feature 0x07).
         let cmd = SubmissionEntry {
@@ -239,6 +252,14 @@ mod tests {
         assert_eq!(info.nsze, 12_345, "geometry reflects the partition");
         assert_eq!(info.lba_size, 512);
         assert_eq!(info.queue_pairs, 2);
+    }
+
+    #[test]
+    fn bring_up_refuses_a_controller_without_namespaces() {
+        let mut page = vec![0u8; 4096];
+        assert_eq!(require_namespace(&page), Err(GuestError::NoNamespace));
+        page[516] = 1;
+        assert_eq!(require_namespace(&page), Ok(()));
     }
 
     #[test]

@@ -286,6 +286,10 @@ pub struct Router {
     /// Per-VM-slot admission gate (hot detach pauses one tenant's VSQs
     /// without disturbing anyone else's).
     vm_admitting: Vec<bool>,
+    /// Per-VM-slot classifier footprint, parallel to `vms`: the mediated
+    /// fields the installed classifier can write, derived on its first run
+    /// and forgotten whenever the classifier may have been replaced.
+    footprints: Vec<Option<MediatedFields>>,
     /// Station work items queued per VM slot (parallel to `vms`): lets
     /// `vm_quiesced` answer per-tenant without requiring the whole
     /// station to be empty.
@@ -347,6 +351,7 @@ impl Router {
             admitting: true,
             vm_active: Vec::new(),
             vm_admitting: Vec::new(),
+            footprints: Vec::new(),
             vm_work: Vec::new(),
             governor: None,
             arrivals: Vec::new(),
@@ -596,6 +601,7 @@ impl Router {
         ));
         self.vm_active.push(true);
         self.vm_admitting.push(true);
+        self.footprints.push(None);
         self.vm_work.push(0);
         self.arrivals.push((0, 0));
         self.vms.len() - 1
@@ -614,6 +620,7 @@ impl Router {
     /// Access to a bound VM's classifier (host-side configuration of
     /// classifier maps, on-the-fly classifier replacement).
     pub fn classifier_mut(&mut self, vm: usize) -> &mut Classifier {
+        self.footprints[vm] = None;
         &mut self.vms[vm].classifier
     }
 
@@ -1078,7 +1085,7 @@ impl Router {
             error,
             state.user_tag,
         );
-        let outcome = self.vms[vm].classifier.run_tiered(&mut self.scratch, t);
+        let verdict = self.vms[vm].classifier.run(&mut self.scratch, t);
         self.telemetry.request_event(
             t,
             vm_id,
@@ -1090,7 +1097,7 @@ impl Router {
         );
         // Direct mediation: copy back only the fields the verifier proved
         // the classifier can write (everything, for native classifiers).
-        let dirty = outcome.dirty;
+        let dirty = *self.footprints[vm].get_or_insert_with(|| self.vms[vm].classifier.footprint());
         if dirty != MediatedFields::NONE {
             let state = self.table.get_mut(tag).expect("request tracked");
             if dirty.contains(MediatedFields::SLBA) {
@@ -1104,7 +1111,7 @@ impl Router {
                 state.user_tag = self.scratch.user_tag();
             }
         }
-        outcome.verdict
+        verdict
     }
 
     fn route(&mut self, vm: usize, tag: u16, verdict: Verdict, t: Ns) {
@@ -2094,6 +2101,7 @@ impl Router {
             notify: None,
             classifier: Classifier::Native(Box::new(TombstoneClassifier)),
         };
+        self.footprints[slot] = None;
         std::mem::replace(&mut self.vms[slot], tombstone)
     }
 }

@@ -435,3 +435,61 @@ fn on_the_fly_classifier_replacement() {
     ex.run(u64::MAX);
     assert_eq!(guest_cq.pop().unwrap().status(), Status::INVALID_OPCODE);
 }
+
+#[test]
+fn a_replaced_classifier_mediates_with_its_own_footprint() {
+    // The router keeps each installed classifier's write footprint. After a
+    // request has run under passthrough (which writes nothing), a swap to a
+    // translating classifier must have its LBA write copied back, not
+    // dropped under the old, empty footprint.
+    use nvmetro_sim::Actor;
+    let mut ssd = SimSsd::new("ssd", SsdConfig::default());
+    let store = ssd.store();
+    let mut vc = VirtualController::new(VmConfig {
+        mem_bytes: 1 << 24,
+        ..Default::default()
+    });
+    let mem = vc.memory();
+    let (guest_sq, guest_cq) = vc.take_guest_queue(0);
+    let (vsqs, vcqs) = vc.take_router_queues();
+    let (hsq_p, hsq_c) = SqPair::new(64);
+    let (hcq_p, hcq_c) = CqPair::new(64);
+    ssd.add_queue(hsq_c, hcq_p, mem.clone(), CompletionMode::Polled);
+    let mut router = Router::new("router", CostModel::default(), 64);
+    let vm = router.bind_vm(VmBinding {
+        vm_id: 0,
+        mem: mem.clone(),
+        partition: Partition::whole(1 << 31),
+        vsqs,
+        vcqs,
+        hsq: hsq_p,
+        hcq: hcq_c,
+        kernel: None,
+        notify: None,
+        classifier: Classifier::Bpf(passthrough_program()),
+    });
+    let mut now = 0;
+    let mut write = |router: &mut Router, fill: u8| {
+        let gpa = mem.alloc(512);
+        mem.write(gpa, &[fill; 512]);
+        guest_sq
+            .push(SubmissionEntry::write(1, 10, 1, gpa, 0))
+            .unwrap();
+        // Driven by hand: the router stays reachable between requests.
+        loop {
+            now += 1_000;
+            assert!(now < 1_000_000_000, "request never completed");
+            router.poll(now);
+            ssd.poll(now);
+            if let Some(cqe) = guest_cq.pop() {
+                assert_eq!(cqe.status(), Status::SUCCESS);
+                return;
+            }
+        }
+    };
+    write(&mut router, 0x11);
+    *router.classifier_mut(vm) = Classifier::Bpf(nvmetro_core::offset_program(5000));
+    write(&mut router, 0x22);
+    assert_eq!(store.read_vec(10, 1), vec![0x11; 512]);
+    assert_eq!(store.read_vec(5010, 1), vec![0x22; 512]);
+}

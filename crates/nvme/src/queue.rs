@@ -50,7 +50,22 @@
 //!    was never bound has no old word to meet on: do it before the producer
 //!    end starts pushing from another thread.
 //!
-//! `tests/bell_protocol.rs` checks steps 1-3 over every interleaving of a
+//! 4. **Cached peer index.** Each end keeps, on its own index's line, the
+//!    other end's index as it last loaded it, and reloads it (`Acquire`)
+//!    only when the copy says the ring is full (producer) or empty
+//!    (consumer). While the ring is neither, an operation touches only its
+//!    own line and the slot, so the two index lines no longer move between
+//!    cores once per entry. Two points keep this sound:
+//!    - *A stale copy is always conservative.* Only the consumer advances
+//!      `head` and only the producer advances `tail`, so an old copy can
+//!      only show the producer a fuller ring and the consumer an emptier
+//!      one. A full or empty answer is never given from the copy alone.
+//!    - *The bell protocol still holds.* `pop` answers `None` only after a
+//!      fresh `tail` load, made after the consumer took the bell (step 2),
+//!      so step 1's argument is unchanged. An entry the copy already shows
+//!      is one whose `tail` store the consumer has acquired.
+//!
+//! `tests/bell_protocol.rs` checks steps 1-4 over every interleaving of a
 //! small model and under real threads.
 
 use crate::cmd::SubmissionEntry;
@@ -264,12 +279,25 @@ impl BellSlot {
     }
 }
 
+/// One end's index line (module docs, step 4).
+#[derive(Default)]
+struct End {
+    /// This end's free-running index: the doorbell the other end reads.
+    index: AtomicU32,
+    /// The other end's index as this end last loaded it. Only this end
+    /// writes it and only this end's operations read it, so `Relaxed`
+    /// suffices: the load that produced the value was the `Acquire`.
+    seen: AtomicU32,
+}
+
 struct Ring<T> {
     entries: Box<[UnsafeCell<T>]>,
-    /// Consumer index (free-running); the "head doorbell".
-    head: CachePadded<AtomicU32>,
-    /// Producer index (free-running); the "tail doorbell".
-    tail: CachePadded<AtomicU32>,
+    /// Consumer line: the "head doorbell" and the consumer's copy of the
+    /// tail.
+    head: CachePadded<End>,
+    /// Producer line: the "tail doorbell" and the producer's copy of the
+    /// head.
+    tail: CachePadded<End>,
     mask: u32,
     /// The consumer's doorbell for this ring, inline: no allocation per
     /// bound ring.
@@ -277,9 +305,11 @@ struct Ring<T> {
 }
 
 // SAFETY: the ring is SPSC by construction — the producer handle is the only
-// writer of `tail` and of entries in `[head, tail)`'s complement, and the
-// consumer handle is the only writer of `head`. Entry slots are handed off
-// with release/acquire pairs on the indices, so a slot is never accessed
+// writer of `tail` (both words of its line) and of entries in
+// `[head, tail)`'s complement, and the consumer handle is the only writer of
+// `head` (both words of its line). Entry slots are handed off with
+// release/acquire pairs on the indices, and a cached copy of the other index
+// only ever lags it (module docs, step 4), so a slot is never accessed
 // concurrently from both sides. The bell slot is an atomic and a mutex.
 unsafe impl<T: Send> Sync for Ring<T> {}
 unsafe impl<T: Send> Send for Ring<T> {}
@@ -294,8 +324,8 @@ impl<T: Default + Copy> Ring<T> {
             (0..depth).map(|_| UnsafeCell::new(T::default())).collect();
         Arc::new(Ring {
             entries: entries.into_boxed_slice(),
-            head: CachePadded::new(AtomicU32::new(0)),
-            tail: CachePadded::new(AtomicU32::new(0)),
+            head: CachePadded::default(),
+            tail: CachePadded::default(),
             mask: (depth - 1) as u32,
             bell: BellSlot::new(),
         })
@@ -315,44 +345,68 @@ impl<T: Default + Copy> Ring<T> {
     }
 
     fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Acquire);
+        let tail = self.tail.index.load(Ordering::Acquire);
+        let head = self.head.index.load(Ordering::Acquire);
         tail.wrapping_sub(head) as usize
     }
 
     /// Producer side: push one entry; `Err` when full.
     fn push(&self, value: T) -> Result<u32, T> {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) as usize == self.capacity() {
-            return Err(value);
+        let tail = self.tail.index.load(Ordering::Relaxed);
+        let full = |head: u32| tail.wrapping_sub(head) as usize == self.capacity();
+        if full(self.tail.seen.load(Ordering::Relaxed)) {
+            let head = self.head.index.load(Ordering::Acquire);
+            if full(head) {
+                return Err(value);
+            }
+            self.tail.seen.store(head, Ordering::Relaxed);
         }
         // SAFETY: slot `tail` is not visible to the consumer until the
         // release store below, and only this (single) producer writes it.
+        // The consumer finished reading it (at index `tail - capacity`)
+        // before releasing a `head` past that index, which this producer
+        // acquired: just above, or when it last refreshed its copy.
         unsafe {
             *self.entries[(tail & self.mask) as usize].get() = value;
         }
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
+        self.tail
+            .index
+            .store(tail.wrapping_add(1), Ordering::Release);
         Ok(tail)
     }
 
     /// Consumer side: pop one entry with its ring index; `None` when empty.
     fn pop(&self) -> Option<(T, u32)> {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
+        let head = self.head.index.load(Ordering::Relaxed);
+        if self.head.seen.load(Ordering::Relaxed) == head {
+            let tail = self.tail.index.load(Ordering::Acquire);
+            if tail == head {
+                return None;
+            }
+            self.head.seen.store(tail, Ordering::Relaxed);
         }
-        // SAFETY: the acquire load of `tail` synchronizes with the
+        // SAFETY: the acquire load of a `tail` past `head` (just above, or
+        // when this consumer last refreshed its copy) synchronizes with the
         // producer's release store, making slot `head` readable; only this
         // (single) consumer reads-and-releases slots.
         let value = unsafe { *self.entries[(head & self.mask) as usize].get() };
-        self.head.store(head.wrapping_add(1), Ordering::Release);
+        self.head
+            .index
+            .store(head.wrapping_add(1), Ordering::Release);
         Some((value, head))
     }
 
+    /// Either end: reads both indices.
     fn is_empty(&self) -> bool {
-        self.head.load(Ordering::Acquire) == self.tail.load(Ordering::Acquire)
+        self.head.index.load(Ordering::Acquire) == self.tail.index.load(Ordering::Acquire)
+    }
+
+    /// Consumer side: "not empty" from the cached tail when it shows an
+    /// entry, otherwise a fresh load. Writes nothing.
+    fn consumer_is_empty(&self) -> bool {
+        let head = self.head.index.load(Ordering::Relaxed);
+        self.head.seen.load(Ordering::Relaxed) == head
+            && self.tail.index.load(Ordering::Acquire) == head
     }
 }
 
@@ -429,10 +483,11 @@ impl SqConsumer {
         self.ring.pop().map(|(e, idx)| (e, idx as u16))
     }
 
-    /// True when no commands are waiting. Reads both ring indices: a
+    /// True when no commands are waiting. Answers "not empty" from the
+    /// consumer's copy of the tail when it can, else loads the tail: a
     /// consumer of many queues asks its [`BellPage`] first.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.ring.consumer_is_empty()
     }
 
     /// Binds this queue to a bell of the consumer's page, replacing any
@@ -490,7 +545,7 @@ impl CqProducer {
     /// position; `Err(entry)` when the CQ is full.
     #[inline]
     pub fn push_quiet(&self, mut entry: CompletionEntry) -> Result<(), CompletionEntry> {
-        let tail = self.ring.tail.load(Ordering::Relaxed);
+        let tail = self.ring.tail.index.load(Ordering::Relaxed);
         // Phase starts at 1 on the first pass and flips every wrap.
         let pass = tail / (self.ring.capacity() as u32);
         entry.set_phase(pass.is_multiple_of(2));
@@ -519,7 +574,7 @@ pub struct CqConsumer {
 impl CqConsumer {
     /// Reaps the next completion, if any.
     pub fn pop(&self) -> Option<CompletionEntry> {
-        let head = self.ring.head.load(Ordering::Relaxed);
+        let head = self.ring.head.index.load(Ordering::Relaxed);
         let expected_phase = (head / (self.ring.capacity() as u32)).is_multiple_of(2);
         let (entry, _) = self.ring.pop()?;
         // Protocol invariant: the posted phase must match what a pure
@@ -532,9 +587,10 @@ impl CqConsumer {
         Some(entry)
     }
 
-    /// True when no completions are pending — used by pollers.
+    /// True when no completions are pending — used by pollers. Answers
+    /// "not empty" from the consumer's copy of the tail when it can.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.ring.consumer_is_empty()
     }
 
     /// Binds this queue to a bell of the consumer's page, replacing any
@@ -600,9 +656,73 @@ mod tests {
             prod.push(SubmissionEntry::read(1, i, 1, 0, 0)).unwrap();
         }
         assert!(prod.push(SubmissionEntry::flush(1)).is_err());
+        // Kept full around several wraps: each push finds its copy of the
+        // head saying full, reloads it, and takes the one freed slot.
+        for i in 4..20 {
+            let (e, _) = cons.pop().unwrap();
+            assert_eq!(e.slba(), i - 4);
+            prod.push(SubmissionEntry::read(1, i, 1, 0, 0)).unwrap();
+            assert!(prod.push(SubmissionEntry::flush(1)).is_err());
+        }
+    }
+
+    #[test]
+    fn indices_and_copies_wrap_past_u32_max() {
+        let (prod, cons) = SqPair::new(4);
+        let start = u32::MAX - 5;
+        for end in [&prod.ring.head, &prod.ring.tail] {
+            end.index.store(start, Ordering::Relaxed);
+            end.seen.store(start, Ordering::Relaxed);
+        }
+        let mut next = 0u64;
+        for i in 0..12 {
+            while prod.push(SubmissionEntry::read(1, i, 1, 0, 0)).is_err() {
+                let (e, _) = cons.pop().unwrap();
+                assert_eq!(e.slba(), next);
+                next += 1;
+            }
+            assert_eq!(prod.len(), (i + 1 - next) as usize);
+        }
+        while let Some((e, _)) = cons.pop() {
+            assert_eq!(e.slba(), next);
+            next += 1;
+        }
+        assert_eq!(next, 12);
+        assert!(cons.is_empty() && prod.is_empty());
+    }
+
+    #[test]
+    fn is_empty_and_len_agree_from_both_ends() {
+        let (prod, cons) = SqPair::new(4);
+        let mut queued = 0usize;
+        // Pushes and pops in an uneven rhythm, so the consumer's copy of
+        // the tail is sometimes current, sometimes behind.
+        for step in 0..64u64 {
+            if step % 3 != 2 && prod.push(SubmissionEntry::read(1, step, 1, 0, 0)).is_ok() {
+                queued += 1;
+            }
+            if step % 2 == 1 && cons.pop().is_some() {
+                queued -= 1;
+            }
+            assert_eq!((prod.len(), cons.len()), (queued, queued));
+            assert_eq!(prod.is_empty(), queued == 0);
+            assert_eq!(cons.is_empty(), queued == 0);
+        }
+        let (prod, cons) = CqPair::new(2);
+        assert!(prod.is_empty() && cons.is_empty());
+        prod.push(CompletionEntry::new(1, Status::SUCCESS)).unwrap();
+        assert!(!prod.is_empty() && !cons.is_empty());
         cons.pop().unwrap();
-        // One slot freed: push succeeds again.
-        prod.push(SubmissionEntry::flush(1)).unwrap();
+        assert!(prod.is_empty() && cons.is_empty());
+        assert_eq!((prod.len(), cons.len()), (0, 0));
+    }
+
+    #[test]
+    fn ring_is_three_cache_lines() {
+        // Both indices with their cached copies, then the slot pointer,
+        // mask and bell: a change here moves every queue's footprint.
+        assert_eq!(std::mem::size_of::<Ring<SubmissionEntry>>(), 384);
+        assert_eq!(std::mem::size_of::<Ring<CompletionEntry>>(), 384);
     }
 
     #[test]
@@ -662,56 +782,66 @@ mod tests {
 
     #[test]
     fn cross_thread_spsc_stress() {
-        let (prod, cons) = SqPair::new(64);
-        const N: u64 = 20_000;
-        let producer = std::thread::spawn(move || {
-            let mut sent = 0u64;
-            while sent < N {
-                let cmd = SubmissionEntry::read(1, sent, 1, 0, 0);
-                if prod.push(cmd).is_ok() {
-                    sent += 1;
-                } else {
-                    std::hint::spin_loop();
+        // Depths 2 and 4 keep both ends on their reload paths: nearly every
+        // push finds the ring full by its copy, nearly every pop empty.
+        for depth in [2, 4, 64] {
+            let (prod, cons) = SqPair::new(depth);
+            const N: u64 = 1 << 20;
+            std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    for sent in 0..N {
+                        let mut cmd = SubmissionEntry::read(1, sent, 1, 0, 0);
+                        // Every `Err` is retried with the same entry.
+                        while let Err(back) = prod.push(cmd) {
+                            cmd = back;
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+                let mut expect = 0u64;
+                while expect < N {
+                    if let Some((e, _)) = cons.pop() {
+                        assert_eq!(e.slba(), expect, "depth {depth}: order violated");
+                        expect += 1;
+                    } else {
+                        std::thread::yield_now();
+                    }
                 }
-            }
-        });
-        let mut expect = 0u64;
-        while expect < N {
-            if let Some((e, _)) = cons.pop() {
-                assert_eq!(e.slba(), expect, "order violated");
-                expect += 1;
-            } else {
-                std::hint::spin_loop();
-            }
+                assert!(
+                    cons.pop().is_none(),
+                    "depth {depth}: an entry was duplicated"
+                );
+            });
         }
-        producer.join().unwrap();
     }
 
     #[test]
     fn cross_thread_cq_stress_keeps_phase_consistent() {
-        let (prod, cons) = CqPair::new(32);
-        const N: u32 = 20_000;
-        let producer = std::thread::spawn(move || {
-            let mut sent = 0u32;
-            while sent < N {
-                let e = CompletionEntry::new((sent % 65_536) as u16, Status::SUCCESS);
-                if prod.push(e).is_ok() {
-                    sent += 1;
+        for depth in [2, 32] {
+            let (prod, cons) = CqPair::new(depth);
+            const N: u32 = 20_000;
+            let producer = std::thread::spawn(move || {
+                let mut sent = 0u32;
+                while sent < N {
+                    let e = CompletionEntry::new((sent % 65_536) as u16, Status::SUCCESS);
+                    if prod.push(e).is_ok() {
+                        sent += 1;
+                    } else {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            let mut got = 0u32;
+            while got < N {
+                if let Some(e) = cons.pop() {
+                    assert_eq!(e.cid as u32, got % 65_536);
+                    got += 1;
                 } else {
                     std::hint::spin_loop();
                 }
             }
-        });
-        let mut got = 0u32;
-        while got < N {
-            if let Some(e) = cons.pop() {
-                assert_eq!(e.cid as u32, got % 65_536);
-                got += 1;
-            } else {
-                std::hint::spin_loop();
-            }
+            producer.join().unwrap();
         }
-        producer.join().unwrap();
     }
 
     #[test]

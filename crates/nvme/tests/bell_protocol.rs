@@ -1,17 +1,21 @@
-//! No lost doorbell, checked two ways (the protocol is laid out in the
-//! `queue` module docs).
+//! No lost doorbell and no overwritten slot, checked two ways (the protocol
+//! is laid out in the `queue` module docs).
 //!
-//! 1. An exhaustive walk of a small model: one producer making two pushes
-//!    against a consumer making two polls (batch bound one or two),
-//!    optionally re-binding the ring to a second page in between, under
-//!    x86-TSO rules — plain stores sit
-//!    in a per-thread store buffer until a nondeterministic flush, loads
-//!    read the own buffer first, RMWs drain the buffer and act on memory.
-//!    Plain interleaving (sequential consistency) would not do: the reason
-//!    the producer may not skip its RMW when the bit "looks set" is a load
-//!    overtaking an earlier store, which only a store buffer shows. The
-//!    walk proves the shipped protocol never strands an entry without its
-//!    bell, and that each of three tempting shortcuts does.
+//! 1. An exhaustive walk of a small model: a capacity-2 ring whose slot
+//!    contents are modelled, one producer making three pushes (so the third
+//!    finds its cached head saying "full") against a consumer making two
+//!    polls (batch bound one or two), optionally re-binding the ring to a
+//!    second page in between. Each end keeps its copy of the other end's
+//!    index as the shipped ring does (step 4). The rules are x86-TSO: plain
+//!    stores sit in a per-thread FIFO store buffer until a nondeterministic
+//!    flush, loads read the own buffer first, RMWs drain the buffer and act
+//!    on memory. Plain interleaving (sequential consistency) would not do:
+//!    the reason the producer may not skip its RMW when the bit "looks set"
+//!    is a load overtaking an earlier store, which only a store buffer
+//!    shows. The walk proves the shipped protocol never strands an entry
+//!    without its bell and never lands a slot store on an entry the
+//!    consumer has not read, and that each of five tempting shortcuts breaks
+//!    one of the two.
 //! 2. The real rings under real threads: 4 producers over 64 rings and a
 //!    consumer that looks only at the page, then one ring re-bound between
 //!    two pages while its producer runs. A lost doorbell is a hang, caught
@@ -25,7 +29,7 @@ use std::time::{Duration, Instant};
 // The model
 // ---------------------------------------------------------------------------
 
-/// Which producer the model runs.
+/// How the model's producer rings.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Producer {
     /// Publish the tail, RMW the bell, re-read the binding (as shipped).
@@ -47,70 +51,194 @@ enum Consumer {
     RebindNoCheck,
 }
 
-const PUSHES: u8 = 2;
+/// How the model's producer uses its copy of the head.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Push {
+    /// Reload the head when the copy says full, write the slot only once
+    /// there is room (as shipped).
+    Shipped,
+    /// Writes the slot first and only then reloads a head whose copy says
+    /// full; gives up if the ring really is full.
+    WriteBeforeRefresh,
+}
 
-/// Shared memory plus both threads' registers. `word[p]` is the ring's
-/// bit in page `p`; `binding` is the page the ring is bound to.
+/// How the model's consumer uses its copy of the tail.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Pop {
+    /// Reload the tail when the copy says empty; `None` only after that
+    /// fresh load (as shipped).
+    Shipped,
+    /// Loads the tail once at the start of a poll, before looking at the
+    /// bell, and answers `None` from that copy without reloading.
+    StaleCopy,
+}
+
+const CAP: u8 = 2;
+const PUSHES: u8 = 3;
+
+/// A plain store waiting in the producer's buffer.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Store {
+    Tail(u8),
+    /// `(slot, entry)`: entries are numbered from 1.
+    Slot(u8, u8),
+}
+
+/// Shared memory plus both threads' registers and store buffers. `word[p]`
+/// is the ring's bit in page `p`; `binding` is the page the ring is bound
+/// to.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct State {
     tail: u8,
     head: u8,
+    /// The entry number each slot last received (0: never written).
+    slot: [u8; CAP as usize],
+    /// Whether each slot holds a landed entry the consumer has not read.
+    unread: [bool; CAP as usize],
     word: [bool; 2],
     binding: u8,
-    /// The producer's buffered tail store, if not yet flushed.
-    buffered_tail: Option<u8>,
+    /// A slot store landed on an unread entry, or the consumer read a slot
+    /// that did not hold the entry it was popping.
+    corrupt: bool,
+    /// The producer's buffered stores, oldest first.
+    p_buffer: Vec<Store>,
+    /// The consumer's buffered head stores, oldest first.
+    c_buffer: Vec<u8>,
     // Producer registers.
     p_pc: u8,
     p_pushed: u8,
     p_seen: u8,
+    /// The producer's copy of the head.
+    p_head: u8,
+    /// The third push found the ring full after its reload.
+    p_gave_up: bool,
     // Consumer registers.
     c_pc: u8,
     c_polls: u8,
     c_popped: u8,
+    c_head: u8,
+    /// The consumer's copy of the tail.
+    c_tail: u8,
+}
+
+impl State {
+    /// A producer store reaching memory.
+    fn land(&mut self, store: Store) {
+        match store {
+            Store::Tail(t) => self.tail = t,
+            Store::Slot(i, entry) => {
+                let i = i as usize;
+                self.corrupt |= self.unread[i];
+                self.slot[i] = entry;
+                self.unread[i] = true;
+            }
+        }
+    }
+
+    /// Producer RMW: its buffer drains first.
+    fn drain_producer(&mut self) {
+        for store in std::mem::take(&mut self.p_buffer) {
+            self.land(store);
+        }
+    }
+
+    /// Consumer RMW: its buffer drains first.
+    fn drain_consumer(&mut self) {
+        if let Some(&head) = self.c_buffer.last() {
+            self.head = head;
+        }
+        self.c_buffer.clear();
+    }
 }
 
 /// Producer program counter values.
 mod p {
-    pub const PUBLISH: u8 = 0;
-    pub const LOAD_BINDING: u8 = 1;
-    pub const PEEK: u8 = 2;
-    pub const RING: u8 = 3;
-    pub const RECHECK: u8 = 4;
-    pub const DONE: u8 = 5;
+    pub const CHECK: u8 = 0;
+    pub const REFRESH: u8 = 1;
+    pub const WRITE: u8 = 2;
+    pub const PUBLISH: u8 = 3;
+    pub const LOAD_BINDING: u8 = 4;
+    pub const PEEK: u8 = 5;
+    pub const RING: u8 = 6;
+    pub const RECHECK: u8 = 7;
+    pub const DONE: u8 = 8;
 }
 
 /// Consumer program counter values.
 mod c {
-    pub const IDLE_CHECK: u8 = 0;
-    pub const TAKE: u8 = 1;
-    pub const DRAIN: u8 = 2;
-    pub const NEXT: u8 = 3;
-    pub const SWAP_BINDING: u8 = 4;
-    pub const BIND_CHECK: u8 = 5;
-    pub const DONE: u8 = 6;
+    pub const LOAD_TAIL: u8 = 0;
+    pub const IDLE_CHECK: u8 = 1;
+    pub const TAKE: u8 = 2;
+    pub const POP: u8 = 3;
+    pub const READ: u8 = 4;
+    pub const NEXT: u8 = 5;
+    pub const SWAP_BINDING: u8 = 6;
+    pub const BIND_CHECK: u8 = 7;
+    pub const DONE: u8 = 8;
 }
 
 struct Model {
     producer: Producer,
     consumer: Consumer,
+    push: Push,
+    pop: Pop,
     /// Entries a poll pops at most.
     batch: u8,
 }
 
+/// What a walk found.
+struct Walk {
+    states: usize,
+    /// Final states (both threads done, buffers drained) in which an entry
+    /// is queued and the bell of the page the ring is bound to is clear —
+    /// an entry no later poll would ever find.
+    lost: Vec<State>,
+    /// States in which a slot was overwritten unread or misread.
+    corrupt: Vec<State>,
+    /// Whether some schedule had the third push succeed after its reload.
+    refreshed_and_pushed: bool,
+    /// Whether some schedule had the third push find the ring full.
+    found_full: bool,
+}
+
 impl Model {
+    fn shipped(consumer: Consumer, batch: u8) -> Self {
+        Model {
+            producer: Producer::Shipped,
+            consumer,
+            push: Push::Shipped,
+            pop: Pop::Shipped,
+            batch,
+        }
+    }
+
     /// The page the consumer polls: page 1 once it has re-bound.
     fn page(&self, s: &State) -> usize {
         (self.consumer != Consumer::TwoPolls && s.c_polls >= 1) as usize
     }
 
-    /// Every state one step away: a producer step, a consumer step, or the
-    /// producer's store buffer draining.
+    /// Where each poll starts.
+    fn poll_start(&self) -> u8 {
+        match self.pop {
+            Pop::Shipped => c::IDLE_CHECK,
+            Pop::StaleCopy => c::LOAD_TAIL,
+        }
+    }
+
+    /// Every state one step away: a producer step, a consumer step, or
+    /// either store buffer draining its oldest store.
     fn successors(&self, s: &State) -> Vec<State> {
         let mut out = Vec::new();
-        if let Some(t) = s.buffered_tail {
+        if let Some(&store) = s.p_buffer.first() {
             let mut n = s.clone();
-            n.tail = t;
-            n.buffered_tail = None;
+            n.p_buffer.remove(0);
+            n.land(store);
+            out.push(n);
+        }
+        if let Some(&head) = s.c_buffer.first() {
+            let mut n = s.clone();
+            n.c_buffer.remove(0);
+            n.head = head;
             out.push(n);
         }
         if let Some(n) = self.producer_step(s) {
@@ -124,11 +252,39 @@ impl Model {
 
     fn producer_step(&self, s: &State) -> Option<State> {
         let mut n = s.clone();
+        // The copy says full: the next slot may still hold an unread entry.
+        let copy_full = s.p_pushed - s.p_head == CAP;
         match s.p_pc {
+            p::CHECK => {
+                n.p_pc = match (copy_full, self.push) {
+                    (false, _) | (true, Push::WriteBeforeRefresh) => p::WRITE,
+                    (true, Push::Shipped) => p::REFRESH,
+                };
+            }
+            p::REFRESH => {
+                // A plain load of the consumer's head.
+                if s.p_pushed - s.head == CAP {
+                    n.p_gave_up = true;
+                    n.p_pc = p::DONE;
+                } else {
+                    n.p_head = s.head;
+                    n.p_pc = match self.push {
+                        Push::Shipped => p::WRITE,
+                        Push::WriteBeforeRefresh => p::PUBLISH,
+                    };
+                }
+            }
+            p::WRITE => {
+                n.p_buffer
+                    .push(Store::Slot(s.p_pushed % CAP, s.p_pushed + 1));
+                n.p_pc = if copy_full {
+                    p::REFRESH // only the mutant writes on a full copy
+                } else {
+                    p::PUBLISH
+                };
+            }
             p::PUBLISH => {
-                // A second store to the same location replaces the first
-                // in the buffer: it would reach memory in order anyway.
-                n.buffered_tail = Some(s.p_pushed + 1);
+                n.p_buffer.push(Store::Tail(s.p_pushed + 1));
                 n.p_pushed += 1;
                 n.p_pc = p::LOAD_BINDING;
             }
@@ -149,10 +305,7 @@ impl Model {
                 };
             }
             p::RING => {
-                // RMW: the store buffer drains first.
-                if let Some(t) = n.buffered_tail.take() {
-                    n.tail = t;
-                }
+                n.drain_producer();
                 n.word[s.p_seen as usize] = true;
                 n.p_pc = p::RECHECK;
             }
@@ -161,7 +314,7 @@ impl Model {
                     n.p_seen = s.binding;
                     n.p_pc = p::RING;
                 } else if s.p_pushed < PUSHES {
-                    n.p_pc = p::PUBLISH;
+                    n.p_pc = p::CHECK;
                 } else {
                     n.p_pc = p::DONE;
                 }
@@ -175,110 +328,156 @@ impl Model {
         let mut n = s.clone();
         let page = self.page(s);
         match s.c_pc {
+            c::LOAD_TAIL => {
+                n.c_tail = s.tail;
+                n.c_pc = c::IDLE_CHECK;
+            }
             c::IDLE_CHECK => {
                 n.c_pc = if s.word[page] { c::TAKE } else { c::NEXT };
             }
             c::TAKE => {
+                n.drain_consumer();
                 n.word[page] = false;
                 n.c_popped = 0;
-                n.c_pc = c::DRAIN;
+                n.c_pc = c::POP;
             }
-            c::DRAIN => {
-                if s.head == s.tail {
+            c::POP => {
+                if s.c_tail != s.c_head {
+                    n.c_pc = c::READ;
+                } else if self.pop == Pop::StaleCopy || s.tail == s.c_head {
                     n.c_pc = c::NEXT; // saw it empty: the bell stays clear
                 } else {
-                    n.head += 1;
-                    n.c_popped += 1;
-                    if n.c_popped == self.batch {
-                        // A drain that ran its bound cannot tell whether
-                        // more is queued, so it keeps the bell.
-                        n.word[page] = true;
-                        n.c_pc = c::NEXT;
-                    }
+                    n.c_tail = s.tail;
+                    n.c_pc = c::READ;
+                }
+            }
+            c::READ => {
+                let i = (s.c_head % CAP) as usize;
+                n.corrupt |= s.slot[i] != s.c_head + 1;
+                n.unread[i] = false;
+                n.c_head += 1;
+                n.c_buffer.push(n.c_head);
+                n.c_popped += 1;
+                n.c_pc = c::POP;
+                if n.c_popped == self.batch {
+                    // A drain that ran its bound cannot tell whether more
+                    // is queued, so it keeps the bell: an RMW.
+                    n.drain_consumer();
+                    n.word[page] = true;
+                    n.c_pc = c::NEXT;
                 }
             }
             c::NEXT => {
                 n.c_polls += 1;
                 n.c_pc = match (self.consumer, n.c_polls) {
-                    (Consumer::TwoPolls, 1) => c::IDLE_CHECK,
+                    (Consumer::TwoPolls, 1) => self.poll_start(),
                     (Consumer::TwoPolls, _) => c::DONE,
                     (_, 1) => c::SWAP_BINDING,
                     (_, _) => c::DONE,
                 };
             }
             c::SWAP_BINDING => {
-                // The swap and the no-op RMW on the old word: the consumer
-                // buffers no stores in this model, so one step.
+                // The swap and the no-op RMW on the old word: one step.
+                n.drain_consumer();
                 n.binding = 1;
                 n.c_pc = if self.consumer == Consumer::RebindNoCheck {
-                    c::IDLE_CHECK
+                    self.poll_start()
                 } else {
                     c::BIND_CHECK
                 };
             }
             c::BIND_CHECK => {
-                if s.head != s.tail {
+                // Reads both indices, as the ring's own `is_empty` does.
+                if s.c_head != s.tail {
+                    n.drain_consumer();
                     n.word[1] = true;
                 }
-                n.c_pc = c::IDLE_CHECK;
+                n.c_pc = self.poll_start();
             }
             _ => return None,
         }
         Some(n)
     }
 
-    /// Walks every reachable state; returns how many there were and the
-    /// final states (both threads done, buffer drained) in which an entry
-    /// is queued and the bell of the page the ring is bound to is clear —
-    /// an entry no later poll would ever find.
-    fn explore(&self) -> (usize, Vec<State>) {
+    /// Walks every reachable state.
+    fn explore(&self) -> Walk {
         let start = State {
             tail: 0,
             head: 0,
+            slot: [0; CAP as usize],
+            unread: [false; CAP as usize],
             word: [false; 2],
             binding: 0,
-            buffered_tail: None,
-            p_pc: p::PUBLISH,
+            corrupt: false,
+            p_buffer: Vec::new(),
+            c_buffer: Vec::new(),
+            p_pc: p::CHECK,
             p_pushed: 0,
             p_seen: 0,
-            c_pc: c::IDLE_CHECK,
+            p_head: 0,
+            p_gave_up: false,
+            c_pc: self.poll_start(),
             c_polls: 0,
             c_popped: 0,
+            c_head: 0,
+            c_tail: 0,
+        };
+        let mut walk = Walk {
+            states: 0,
+            lost: Vec::new(),
+            corrupt: Vec::new(),
+            refreshed_and_pushed: false,
+            found_full: false,
         };
         let mut seen = HashSet::new();
         let mut stack = vec![start];
-        let mut lost = Vec::new();
         while let Some(s) = stack.pop() {
             if !seen.insert(s.clone()) {
                 continue;
+            }
+            walk.refreshed_and_pushed |= s.p_pushed == PUSHES;
+            walk.found_full |= s.p_gave_up;
+            if s.corrupt {
+                walk.corrupt.push(s.clone());
             }
             let next = self.successors(&s);
             if next.is_empty() {
                 assert_eq!((s.p_pc, s.c_pc), (p::DONE, c::DONE), "deadlock: {s:?}");
                 if s.head != s.tail && !s.word[s.binding as usize] {
-                    lost.push(s);
+                    walk.lost.push(s);
                 }
             }
             stack.extend(next);
         }
-        (seen.len(), lost)
+        walk.states = seen.len();
+        walk
     }
 }
 
 #[test]
-fn shipped_protocol_loses_no_doorbell_in_any_schedule() {
+fn shipped_protocol_strands_and_overwrites_nothing_in_any_schedule() {
     for consumer in [Consumer::TwoPolls, Consumer::Rebind] {
         for batch in [1, 2] {
-            let (states, lost) = Model {
-                producer: Producer::Shipped,
-                consumer,
-                batch,
-            }
-            .explore();
-            assert!(states > 100, "{consumer:?}/{batch}: the walk must branch");
+            let walk = Model::shipped(consumer, batch).explore();
             assert!(
-                lost.is_empty(),
-                "{consumer:?}/{batch}: lost doorbell in {lost:?}"
+                walk.states > 100,
+                "{consumer:?}/{batch}: the walk must branch"
+            );
+            assert!(
+                walk.lost.is_empty(),
+                "{consumer:?}/{batch}: lost doorbell in {:?}",
+                walk.lost
+            );
+            assert!(
+                walk.corrupt.is_empty(),
+                "{consumer:?}/{batch}: slot overwritten or misread in {:?}",
+                walk.corrupt
+            );
+            // Both answers of the producer's reload are reached: the
+            // consumer freed a slot in time, or it had not.
+            assert!(
+                walk.refreshed_and_pushed && walk.found_full,
+                "{consumer:?}/{batch}: the walk must reach both sides of a full copy"
             );
         }
     }
@@ -288,13 +487,15 @@ fn shipped_protocol_loses_no_doorbell_in_any_schedule() {
 fn skipping_the_rmw_when_the_bit_looks_set_loses_a_doorbell() {
     // The load of the word overtakes the buffered tail store: the consumer
     // takes the bit, reads the old tail, and nobody rings for the new one.
-    let (_, lost) = Model {
+    let walk = Model {
         producer: Producer::SkipWhenSet,
-        consumer: Consumer::TwoPolls,
-        batch: 2,
+        ..Model::shipped(Consumer::TwoPolls, 2)
     }
     .explore();
-    assert!(!lost.is_empty(), "the checker must catch the unsound skip");
+    assert!(
+        !walk.lost.is_empty(),
+        "the checker must catch the unsound skip"
+    );
 }
 
 #[test]
@@ -303,17 +504,45 @@ fn a_rebind_needs_both_the_recheck_and_the_binders_look() {
         (Producer::NoRecheck, Consumer::Rebind),
         (Producer::Shipped, Consumer::RebindNoCheck),
     ] {
-        let (_, lost) = Model {
+        let walk = Model {
             producer,
-            consumer,
-            batch: 2,
+            ..Model::shipped(consumer, 2)
         }
         .explore();
         assert!(
-            !lost.is_empty(),
+            !walk.lost.is_empty(),
             "{producer:?}/{consumer:?}: dropping a half of the re-bind handshake must lose a bell"
         );
     }
+}
+
+#[test]
+fn a_pop_that_answers_none_from_a_stale_copy_strands_an_entry() {
+    // The copy was loaded before the bell was taken: the producer published
+    // and rang in between, the take cleared that bell, and the drain saw
+    // "empty" without looking at the tail again.
+    let walk = Model {
+        pop: Pop::StaleCopy,
+        ..Model::shipped(Consumer::TwoPolls, 2)
+    }
+    .explore();
+    assert!(
+        !walk.lost.is_empty(),
+        "the checker must catch a None given from a stale copy"
+    );
+}
+
+#[test]
+fn a_push_that_writes_before_refreshing_a_full_copy_overwrites_an_unread_slot() {
+    let walk = Model {
+        push: Push::WriteBeforeRefresh,
+        ..Model::shipped(Consumer::TwoPolls, 2)
+    }
+    .explore();
+    assert!(
+        !walk.corrupt.is_empty(),
+        "the checker must catch a slot written before the reload"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -70,8 +70,6 @@ pub struct CostModel {
     pub adaptive_idle_timeout: Ns,
     /// Wakeup penalty when a parked adaptive poller must be kicked.
     pub adaptive_wakeup: Ns,
-    /// Notify-path post cost (NSQ doorbell + tracking).
-    pub notify_post: Ns,
     /// UIF framework per-request overhead (parse, page mapping, NCQ post).
     pub uif_request: Ns,
     /// io_uring submission+completion overhead per I/O issued by a UIF.
@@ -148,8 +146,6 @@ pub struct CostModel {
     pub nvmeof_one_way: Ns,
     /// Per-byte cost of the remote link (ns/B; 0.10 ≈ 10 GB/s IB FDR).
     pub nvmeof_per_byte: f64,
-    /// Remote target per-request processing cost.
-    pub nvmeof_request: Ns,
     /// dm-mirror (dm-raid1) per-request overhead incl. region locking.
     pub dmmirror_request: Ns,
     /// dm-mirror's single mirror kernel thread: region-lock bookkeeping and
@@ -182,7 +178,6 @@ impl Default for CostModel {
             mdev_cmd: 500,
             adaptive_idle_timeout: 8 * US,
             adaptive_wakeup: 4 * US,
-            notify_post: 450,
             uif_request: 700,
             io_uring_op: 1_500,
 
@@ -215,7 +210,6 @@ impl Default for CostModel {
 
             nvmeof_one_way: 10 * US,
             nvmeof_per_byte: 0.10,
-            nvmeof_request: 2_000,
             dmmirror_request: 2_400,
             dmmirror_io_serial: 15_000,
             dmmirror_serial_per_byte: 1.0,
